@@ -75,6 +75,10 @@ type CounterTable struct {
 	FIFODrops    uint64 // KV-FIFO overflow (the §6.1 limitation)
 
 	maxRelocate int
+
+	// kbuf holds the encoded key of the packet being counted, reused
+	// across Updates; nothing retains it past one call.
+	kbuf []byte
 }
 
 // Observe binds the table's six register arrays to a trace stream so every
@@ -135,7 +139,8 @@ func cellID(array, slot int) uint64 { return uint64(array)<<40 | uint64(slot) }
 // post-update aggregate for the key, which post-reduce filters evaluate.
 func (ct *CounterTable) Update(key []uint64, delta uint64) uint64 {
 	ct.Updates++
-	kb := compiler.EncodeKey(key)
+	ct.kbuf = compiler.AppendKey(ct.kbuf[:0], key)
+	kb := ct.kbuf
 
 	// Exact key matching first: precomputed collisions resolve here and
 	// never touch the hashed arrays (Figure 4).

@@ -8,6 +8,7 @@ import (
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
+	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
 func testPlan(kind ntapi.QueryKind, fn ntapi.AggFunc, arraySize, digestBits int) *compiler.QueryPlan {
@@ -208,5 +209,29 @@ func TestExactnessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCounterTableUpdateZeroAllocs pins the per-frame contract of counting
+// a key that is already placed, in a cuckoo array or the exact-key table:
+// the key is encoded into the table's reused buffer.
+func TestCounterTableUpdateZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; the contract holds in non-race builds")
+	}
+	plan := testPlan(ntapi.KindReduce, ntapi.AggSum, 1<<10, 16)
+	plan.Keys = []asic.Field{asic.FieldIPv4Src, asic.FieldIPv4Dst, asic.FieldIPv4Proto, asic.FieldL4SrcPort, asic.FieldL4DstPort}
+	exactKey := []uint64{0x0a000002, 0x0a090001, 6, 2001, 80}
+	plan.ExactKeys = [][]uint64{exactKey}
+	ct := NewCounterTable(plan)
+	arrayKey := []uint64{0x0a000001, 0x0a090001, 6, 2000, 80}
+	ct.Update(arrayKey, 1) // placed in array 1
+	for _, key := range [][]uint64{arrayKey, exactKey} {
+		if avg := testing.AllocsPerRun(1000, func() { ct.Update(key, 1) }); avg != 0 {
+			t.Errorf("Update(%v) allocates %v allocs/op, want 0", key, avg)
+		}
+	}
+	if ct.ExactHits == 0 || ct.FIFOPushes != 0 {
+		t.Fatalf("exact hits %d, FIFO pushes %d: the hit paths were not exercised", ct.ExactHits, ct.FIFOPushes)
 	}
 }

@@ -45,6 +45,10 @@ type QueryState struct {
 	DelaySumNs float64
 	DelayMinNs float64
 	DelayMaxNs float64
+
+	// delayKey and delayKeyBytes are delayIndex's reused key scratch.
+	delayKey      []uint64
+	delayKeyBytes []byte
 }
 
 // digestFIFO queues encoded eviction messages with slot reuse: popping
@@ -295,11 +299,12 @@ func filtersPass(st *QueryState, p *asic.PHV) bool {
 
 // delayIndex hashes the query's key fields into the timestamp register.
 func (st *QueryState) delayIndex(p *asic.PHV) int {
-	key := make([]uint64, len(st.Plan.Keys))
-	for i, kf := range st.Plan.Keys {
-		key[i] = kf.Get(p)
+	st.delayKey = st.delayKey[:0]
+	for _, kf := range st.Plan.Keys {
+		st.delayKey = append(st.delayKey, kf.Get(p))
 	}
-	return st.delayHash.Index(compiler.EncodeKey(key), st.Plan.ArraySize)
+	st.delayKeyBytes = compiler.AppendKey(st.delayKeyBytes[:0], st.delayKey)
+	return st.delayHash.Index(st.delayKeyBytes, st.Plan.ArraySize)
 }
 
 // recordDelay consumes a stored sent-side timestamp and accumulates the
