@@ -17,9 +17,10 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Replay the committed decoder fuzz corpus as regression tests.
+# Replay the fuzz seeds as regression tests: the committed decoder corpus
+# and the NTAPI compile harness (corpus programs and suite sources).
 fuzz-seeds:
-	$(GO) test -run Fuzz ./internal/netproto/
+	$(GO) test -run Fuzz ./internal/netproto/ ./internal/core/compiler/
 
 # Open-ended fuzzing session against the packet decoder.
 fuzz:

@@ -1,8 +1,10 @@
 package compiler
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
@@ -611,5 +613,102 @@ func countOccurrences(s, sub string) int {
 		}
 		n++
 		i += j + len(sub)
+	}
+}
+
+// caseWebScaleSrc is the §5.4 stateless web test: three query-fed triggers
+// pop records from the one shared trigger FIFO in egress.
+const caseWebScaleSrc = `
+T1 = trigger()
+    .set([dip, dport, proto, flag, seq_no], [9.9.9.9, 80, tcp, SYN, 1])
+    .set(sip, 1.1.0.1)
+    .set(sport, range(1024, 33791, 1))
+    .set(interval, 10us)
+    .set(port, 0)
+Q1 = query().filter(tcp_flag == SYN+ACK)
+T2 = trigger(Q1)
+    .set([dip, sip, dport, sport], [Q1.sip, Q1.dip, Q1.sport, Q1.dport])
+    .set([proto, flag], [tcp, ACK])
+    .set([seq_no, ack_no], [Q1.ack_no, Q1.seq_no + 1])
+Q2 = query().filter(tcp_flag == SYN+ACK)
+T3 = trigger(Q2)
+    .set([dip, sip, dport, sport], [Q2.sip, Q2.dip, Q2.sport, Q2.dport])
+    .set([proto, flag], [tcp, PSH+ACK])
+    .set([seq_no, ack_no], [Q2.ack_no, Q2.seq_no + 1])
+    .set(length, 78)
+    .set(payload, "GET index.html")
+Q3 = query().filter(tcp_flag == PSH+ACK).reduce(func=count).filter(count >= 5)
+T5 = trigger(Q3)
+    .set([dip, sip, dport, sport], [Q3.sip, Q3.dip, Q3.sport, Q3.dport])
+    .set([proto, flag], [tcp, FIN])
+    .set([seq_no, ack_no], [Q3.ack_no, Q3.seq_no + 1])
+Q5 = query().filter(tcp_flag == SYN+ACK).reduce(func=sum)
+`
+
+// receivedTriggersSrc builds a SYN sweep plus n query+trigger pairs, each
+// trigger fed by a counting query over received traffic. Every pair adds an
+// editor table that pops the shared trigger FIFO.
+func receivedTriggersSrc(n int) string {
+	var b strings.Builder
+	b.WriteString(`
+T0 = trigger()
+    .set([dip, dport, proto, flag, seq_no], [9.9.9.9, 80, tcp, SYN, 1])
+    .set(sip, 1.1.0.1)
+    .set(sport, range(1024, 1087, 1))
+    .set(interval, 10us)
+    .set(port, 0)
+`)
+	flags := []string{"SYN+ACK", "ACK", "PSH+ACK", "FIN"}
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "Q%d = query().filter(tcp_flag == %s).reduce(func=count).filter(count >= 2)\n", i, flags[i-1])
+		fmt.Fprintf(&b, "T%d = trigger(Q%d)\n", i, i)
+		fmt.Fprintf(&b, "    .set([dip, sip, dport, sport], [Q%d.sip, Q%d.dip, Q%d.sport, Q%d.dport])\n", i, i, i, i)
+		b.WriteString("    .set([proto, flag], [tcp, ACK])\n")
+	}
+	return b.String()
+}
+
+// TestCompileSALUExclusivityVerdicts pins the compiler's SALU verdict on
+// the programs that share one register across tables: the trigger FIFO is
+// pushed in egress by the trigger capture and popped by each query-fed
+// template's editor, and only exclusive template guards keep those
+// accesses to one per pass.
+func TestCompileSALUExclusivityVerdicts(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		reject string // "" = must compile
+	}{
+		{"case_webscale", caseWebScaleSrc, ""},
+		{"received_2", receivedTriggersSrc(2), ""},
+		{"received_3", receivedTriggersSrc(3), ""},
+		{"received_4", receivedTriggersSrc(4), ""},
+		// A trigger fed by a query over T1's own sent traffic: T1's
+		// template is both captured into the FIFO and popped from it on
+		// the same egress pass.
+		{"sent_fed_trigger", `
+T1 = trigger()
+    .set([dip, dport, proto, flag, seq_no], [9.9.9.9, 80, tcp, SYN, 1])
+    .set(sip, 1.1.0.1)
+    .set(interval, 10us)
+    .set(port, 0)
+Q1 = query(T1).filter(tcp_flag == SYN)
+T2 = trigger(Q1)
+    .set([dip, sip, dport, sport], [Q1.sip, Q1.dip, Q1.sport, Q1.dport])
+    .set([proto, flag], [tcp, ACK])
+`, "[salu-conflict]: register trigger_fifo"},
+	}
+	for _, c := range cases {
+		task, err := ntapi.Parse(c.name, c.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", c.name, err)
+		}
+		_, err = Compile(task, Options{})
+		switch {
+		case c.reject == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.reject != "" && (err == nil || !strings.Contains(err.Error(), c.reject)):
+			t.Errorf("%s: want rejection containing %q, got %v", c.name, c.reject, err)
+		}
 	}
 }

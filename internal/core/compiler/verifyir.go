@@ -2,35 +2,30 @@ package compiler
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/hypertester/hypertester/internal/p4ir"
 	"github.com/hypertester/hypertester/internal/verify"
 )
 
-// This file is the IR-level pipeline verifier: validate.go's whole-chip
-// budget check says whether a program fits the chip *in total*; VerifyPlan
-// says whether it can actually be *laid out and executed* on an RMT
-// pipeline. It statically rejects, at compile time, the plan shapes that
-// would otherwise misbehave at simulation (or deployment) time:
+// This file is the compile-time plan gate: validate.go's whole-chip budget
+// check says whether a program fits the chip *in total*; VerifyPlan says
+// whether it can actually be *laid out and executed* on an RMT pipeline.
+// Two checks live here because no other module makes them:
 //
-//   - parser graphs with cycles — the TCAM-driven parser state machine
-//     would never terminate;
-//   - two stateful-ALU accesses to the same register on one packet pass —
-//     RMT registers are bound to a single SALU, which fires at most once
-//     per packet per pipeline;
 //   - table/register placements that overflow the per-stage resource
 //     budget — a table has to live in *some* stage, and stages are finite;
 //   - unguarded recirculation — a `recirculate` reachable on every packet
 //     with no loop state to bound it recirculates forever and melts the
 //     accelerator's capacity model (§6.1).
 //
-// The model is deliberately conservative where the real chip's compiler
-// backtracks: placement is greedy in control order (a table may span
-// consecutive stages when wider than one stage's budget), and branch
-// exclusivity is recognized syntactically (Then vs Else, and equality
-// guards on the same field with different constants — the shape our
-// generator emits for per-template gating).
+// Every per-packet safety property — parser termination, header validity,
+// one SALU access per register per pass, a termination proof for each
+// recirculation — is delegated to one run of the path-sensitive verifier
+// (internal/verify), whose first error is the verdict.
+//
+// Placement is deliberately conservative where the real chip's compiler
+// backtracks: greedy in control order, with a table spanning consecutive
+// stages when wider than one stage's budget.
 
 // StageModel is the stage-level capacity of the target ASIC.
 type StageModel struct {
@@ -59,36 +54,32 @@ var TofinoStageModel = StageModel{
 }
 
 // VerifyPlan statically checks a compiled pipeline plan against the stage
-// model. It returns the first violation found, or nil for a deployable
-// plan.
-func VerifyPlan(p *p4ir.Program, m StageModel) error {
-	return VerifyPlanEnv(p, m, nil)
-}
-
-// VerifyPlanEnv is VerifyPlan with environment invariants attached: when the
-// syntactic exclusivity heuristic fails on a SALU pair, the path-sensitive
-// walker (internal/verify) is consulted under these invariants before the
-// plan is rejected.
-func VerifyPlanEnv(p *p4ir.Program, m StageModel, invs []verify.Implication) error {
+// model, then runs the path-sensitive verifier once under the environment
+// invariants invs (nil when the plan has no templates to derive them from).
+// It returns the first violation found, or nil for a deployable plan. A
+// walk that hits its path cap proves nothing about the paths it never
+// reached, so a truncated report fails the plan too.
+func VerifyPlan(p *p4ir.Program, m StageModel, invs []verify.Implication) error {
 	v := newVerifier(p)
-	v.invs = invs
-	if err := v.checkParserDAG(); err != nil {
-		return err
-	}
 	for _, pipe := range []struct {
 		name  string
 		stmts []p4ir.ControlStmt
 	}{{"ingress", p.Ingress}, {"egress", p.Egress}} {
-		accesses := v.collectAccesses(pipe.stmts, nil)
-		if err := v.checkSALUAccess(pipe.name, accesses); err != nil {
-			return err
-		}
 		if err := v.checkStagePlacement(pipe.name, pipe.stmts, m); err != nil {
 			return err
 		}
-		if err := v.checkRecircBound(pipe.name, accesses); err != nil {
+		if err := v.checkRecircBound(pipe.name, pipe.stmts); err != nil {
 			return err
 		}
+	}
+	rep := verify.Analyze(p, verify.Options{Invariants: invs})
+	if errs := rep.Errors(); len(errs) > 0 {
+		return fmt.Errorf("compiler: symbolic verifier: %s", errs[0])
+	}
+	if rep.Truncated {
+		return fmt.Errorf(
+			"compiler: symbolic verifier: program %s: path enumeration stopped at %d feasible paths, so no safety property is proved for the rest; split the task into smaller programs",
+			p.Name, rep.Paths)
 	}
 	return nil
 }
@@ -97,9 +88,6 @@ type verifier struct {
 	prog    *p4ir.Program
 	tables  map[string]*p4ir.TableDef
 	actions map[string]*p4ir.ActionDef
-
-	invs []verify.Implication
-	rep  *verify.Report // lazily-computed path-sensitive report
 }
 
 func newVerifier(p *p4ir.Program) *verifier {
@@ -115,202 +103,6 @@ func newVerifier(p *p4ir.Program) *verifier {
 		v.actions[a.Name] = a
 	}
 	return v
-}
-
-// checkParserDAG rejects cyclic parse graphs by depth-first search with
-// the classic three-color scheme.
-func (v *verifier) checkParserDAG() error {
-	edges := v.prog.ParserGraph()
-	next := map[string][]string{}
-	for _, e := range edges {
-		next[e.From] = append(next[e.From], e.To)
-	}
-	const (
-		white = 0 // unvisited
-		gray  = 1 // on the current DFS path
-		black = 2 // finished
-	)
-	color := map[string]int{}
-	var path []string
-	var visit func(n string) error
-	visit = func(n string) error {
-		color[n] = gray
-		path = append(path, n)
-		for _, to := range next[n] {
-			switch color[to] {
-			case gray:
-				return fmt.Errorf("compiler: parser graph has a cycle: %s -> %s; the parse state machine would not terminate",
-					strings.Join(path, " -> "), to)
-			case white:
-				if err := visit(to); err != nil {
-					return err
-				}
-			}
-		}
-		path = path[:len(path)-1]
-		color[n] = black
-		return nil
-	}
-	for _, e := range edges {
-		if color[e.From] == white {
-			if err := visit(e.From); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// guard is one branch condition active at an apply site. negated marks the
-// Else side.
-type guard struct {
-	cond    string
-	negated bool
-}
-
-// saluAccess is one stateful-ALU access reachable in a pipeline pass.
-type saluAccess struct {
-	register string
-	table    string
-	action   string
-	op       p4ir.OpKind
-	guards   []guard
-}
-
-// collectAccesses walks a control list gathering every SALU access with
-// its enclosing guard chain. All sequential statements execute on the same
-// packet; only Then/Else choose.
-func (v *verifier) collectAccesses(stmts []p4ir.ControlStmt, guards []guard) []saluAccess {
-	var out []saluAccess
-	for i := range stmts {
-		s := &stmts[i]
-		if s.Apply != "" {
-			t := v.tables[s.Apply]
-			if t == nil {
-				continue // p4ir.Validate reports unknown tables
-			}
-			for _, an := range t.Actions {
-				a := v.actions[an]
-				if a == nil {
-					continue
-				}
-				for _, op := range a.Ops {
-					switch op.Kind {
-					case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
-						out = append(out, saluAccess{
-							register: op.Dst,
-							table:    t.Name,
-							action:   a.Name,
-							op:       op.Kind,
-							guards:   append([]guard(nil), guards...),
-						})
-					}
-				}
-			}
-		}
-		if s.If != "" {
-			thenGuards := append(append([]guard(nil), guards...), guard{cond: s.If})
-			out = append(out, v.collectAccesses(s.Then, thenGuards)...)
-			elseGuards := append(append([]guard(nil), guards...), guard{cond: s.If, negated: true})
-			out = append(out, v.collectAccesses(s.Else, elseGuards)...)
-		}
-	}
-	return out
-}
-
-// checkSALUAccess enforces the one-SALU-access-per-packet rule: no packet
-// pass through one pipeline may reach the same register twice, except via
-// provably exclusive branches. Two actions of the same table are
-// alternatives (one action per table per packet), so they never conflict
-// with each other.
-func (v *verifier) checkSALUAccess(pipe string, accesses []saluAccess) error {
-	// Same action touching a register twice is always a conflict: one
-	// SALU fires once per packet.
-	type key struct{ action, register string }
-	seen := map[key]bool{}
-	for _, a := range accesses {
-		k := key{a.action, a.register}
-		if seen[k] {
-			return fmt.Errorf(
-				"compiler: %s action %s accesses register %s twice in one pass; an RMT stateful ALU fires at most once per packet (fold the accesses into one RMW)",
-				pipe, a.action, a.register)
-		}
-		seen[k] = true
-	}
-	for i := 0; i < len(accesses); i++ {
-		for j := i + 1; j < len(accesses); j++ {
-			a, b := accesses[i], accesses[j]
-			if a.register != b.register || a.table == b.table {
-				continue
-			}
-			if mutuallyExclusive(a.guards, b.guards) {
-				continue
-			}
-			// The syntactic heuristic could not prove exclusivity; it is a
-			// fast pre-pass, not the verdict. Ask the path-sensitive walker
-			// whether the two accesses are ever jointly feasible — interval
-			// guards like "meta.x < 2" vs "meta.x > 5" are exclusive without
-			// sharing the equality shape the heuristic recognizes.
-			if !v.pathConflict(a.register, a.table, b.table) {
-				continue
-			}
-			return fmt.Errorf(
-				"compiler: register %s is accessed by both table %s (action %s) and table %s (action %s) on one %s pass; a register's stateful ALU fires at most once per packet — gate the tables with exclusive conditions or split the register",
-				a.register, a.table, a.action, b.table, b.action, pipe)
-		}
-	}
-	return nil
-}
-
-// pathConflict reports whether the symbolic walker found a feasible pass on
-// which both tables touch the register. A truncated enumeration proves
-// nothing about the paths it never reached, so it stays conservative and
-// upholds the heuristic's rejection.
-func (v *verifier) pathConflict(register, tableA, tableB string) bool {
-	if v.rep == nil {
-		v.rep = verify.Analyze(v.prog, verify.Options{Invariants: v.invs})
-	}
-	return v.rep.Truncated || v.rep.HasSALUConflict(register, tableA, tableB)
-}
-
-// mutuallyExclusive reports whether two guard chains can be shown to never
-// both hold: one contains a condition the other negates, or both pin the
-// same field to different constants with `==` (examining each `and`
-// conjunct — the generator emits guards like
-// "meta.template_id == 2 and eg_intr_md.rid != 0").
-func mutuallyExclusive(a, b []guard) bool {
-	for _, ga := range a {
-		for _, gb := range b {
-			if ga.cond == gb.cond && ga.negated != gb.negated {
-				return true
-			}
-			if ga.negated || gb.negated {
-				continue
-			}
-			for _, ca := range strings.Split(ga.cond, " and ") {
-				fa, va, oka := splitEquality(ca)
-				if !oka {
-					continue
-				}
-				for _, cb := range strings.Split(gb.cond, " and ") {
-					fb, vb, okb := splitEquality(cb)
-					if okb && fa == fb && va != vb {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// splitEquality parses a `field == constant` condition.
-func splitEquality(cond string) (field, value string, ok bool) {
-	field, value, ok = strings.Cut(cond, " == ")
-	if !ok || strings.ContainsAny(strings.TrimSpace(value), " ") {
-		return "", "", false
-	}
-	return strings.TrimSpace(field), strings.TrimSpace(value), true
 }
 
 // checkStagePlacement lays the pipeline's tables into stages greedily in
@@ -469,8 +261,7 @@ func overflowColumn(cost, per p4ir.Resources) string {
 // data-plane exit path) and its action must maintain loop state in a
 // register (the in-flight counter the accelerator uses), or the packet
 // loops forever.
-func (v *verifier) checkRecircBound(pipe string, accesses []saluAccess) error {
-	// Re-walk for recirculate ops: collectAccesses only gathers SALU ops.
+func (v *verifier) checkRecircBound(pipe string, stmts []p4ir.ControlStmt) error {
 	var check func(stmts []p4ir.ControlStmt, guarded bool) error
 	check = func(stmts []p4ir.ControlStmt, guarded bool) error {
 		for i := range stmts {
@@ -518,13 +309,6 @@ func (v *verifier) checkRecircBound(pipe string, accesses []saluAccess) error {
 			}
 		}
 		return nil
-	}
-	_ = accesses
-	var stmts []p4ir.ControlStmt
-	if pipe == "ingress" {
-		stmts = v.prog.Ingress
-	} else {
-		stmts = v.prog.Egress
 	}
 	return check(stmts, false)
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestVerifyRejectsStageOverflow(t *testing.T) {
 		})
 		p.Ingress = append(p.Ingress, p4ir.ControlStmt{Apply: tbl.Name})
 	}
-	err := VerifyPlan(p, TofinoStageModel)
+	err := VerifyPlan(p, TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "stage") {
 		t.Fatalf("want stage budget overflow, got %v", err)
 	}
@@ -75,7 +76,7 @@ func TestVerifyRejectsOversizedSingleTable(t *testing.T) {
 		Size:     20_000_000, // far beyond 12 stages of SRAM even spanning
 	})
 	p.Ingress = append(p.Ingress, p4ir.ControlStmt{Apply: tbl.Name})
-	err := VerifyPlan(p, TofinoStageModel)
+	err := VerifyPlan(p, TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "alone needs") {
 		t.Fatalf("want single-table span failure, got %v", err)
 	}
@@ -85,13 +86,13 @@ func TestVerifyRejectsDoubleSALUAccess(t *testing.T) {
 	// Two sequentially applied tables RMW the same register: one packet
 	// pass would fire the register's SALU twice.
 	p := rmwProg(2, true)
-	err := VerifyPlan(p, TofinoStageModel)
+	err := VerifyPlan(p, TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "at most once per packet") {
 		t.Fatalf("want SALU conflict, got %v", err)
 	}
 
 	// Distinct registers are fine.
-	if err := VerifyPlan(rmwProg(2, false), TofinoStageModel); err != nil {
+	if err := VerifyPlan(rmwProg(2, false), TofinoStageModel, nil); err != nil {
 		t.Fatalf("distinct registers must verify: %v", err)
 	}
 }
@@ -109,7 +110,7 @@ func TestVerifyRejectsDoubleSALUAccessInOneAction(t *testing.T) {
 		Actions: []string{a.Name}, Size: 4,
 	})
 	p.Ingress = append(p.Ingress, p4ir.ControlStmt{Apply: tbl.Name})
-	err := VerifyPlan(p, TofinoStageModel)
+	err := VerifyPlan(p, TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "twice in one pass") {
 		t.Fatalf("want same-action double access, got %v", err)
 	}
@@ -124,7 +125,7 @@ func TestVerifyAcceptsExclusiveSALUBranches(t *testing.T) {
 		{If: "meta.template_id == 1", Then: []p4ir.ControlStmt{{Apply: "tbl_a"}}},
 		{If: "meta.template_id == 2", Then: []p4ir.ControlStmt{{Apply: "tbl_b"}}},
 	}
-	if err := VerifyPlan(base, TofinoStageModel); err != nil {
+	if err := VerifyPlan(base, TofinoStageModel, nil); err != nil {
 		t.Fatalf("exclusive equality guards must verify: %v", err)
 	}
 
@@ -134,7 +135,7 @@ func TestVerifyAcceptsExclusiveSALUBranches(t *testing.T) {
 		Then: []p4ir.ControlStmt{{Apply: "tbl_a"}},
 		Else: []p4ir.ControlStmt{{Apply: "tbl_b"}},
 	}}
-	if err := VerifyPlan(thenElse, TofinoStageModel); err != nil {
+	if err := VerifyPlan(thenElse, TofinoStageModel, nil); err != nil {
 		t.Fatalf("then/else branches must verify: %v", err)
 	}
 
@@ -144,7 +145,7 @@ func TestVerifyAcceptsExclusiveSALUBranches(t *testing.T) {
 		{If: "meta.template_id == 1", Then: []p4ir.ControlStmt{{Apply: "tbl_a"}}},
 		{If: "meta.template_id == 1", Then: []p4ir.ControlStmt{{Apply: "tbl_b"}}},
 	}
-	if err := VerifyPlan(same, TofinoStageModel); err == nil {
+	if err := VerifyPlan(same, TofinoStageModel, nil); err == nil {
 		t.Fatal("identical guards must not count as exclusive")
 	}
 }
@@ -159,25 +160,27 @@ func TestVerifyRejectsParserCycle(t *testing.T) {
 			{From: "vlan", To: "ipv4"}, // QinQ-style loop back into ipv4
 		},
 	}
-	err := VerifyPlan(p, TofinoStageModel)
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("want parser cycle, got %v", err)
+	err := VerifyPlan(p, TofinoStageModel, nil)
+	if err == nil || !strings.Contains(err.Error(), "cycle: ethernet -> ipv4 -> vlan -> ipv4") {
+		t.Fatalf("want parser cycle with its full path, got %v", err)
 	}
 
 	// The linear chain derived from Headers is acyclic.
 	p.Parser = nil
-	if err := VerifyPlan(p, TofinoStageModel); err != nil {
+	if err := VerifyPlan(p, TofinoStageModel, nil); err != nil {
 		t.Fatalf("linear parser must verify: %v", err)
 	}
 }
 
 func TestVerifyRejectsUnboundedRecirculation(t *testing.T) {
-	mk := func(guard string, withState bool) *p4ir.Program {
+	// mk builds a recirculating table; rmw is the loop-state SALU program
+	// run before recirculating ("" for none).
+	mk := func(guard, rmw string) *p4ir.Program {
 		p := &p4ir.Program{Name: "rc", Headers: []string{"ethernet", "ipv4"}}
 		ops := []p4ir.Op{{Kind: p4ir.OpRecirculate}}
-		if withState {
+		if rmw != "" {
 			p.AddRegister(&p4ir.RegisterDef{Name: "inflight", Width: 32, Size: 64})
-			ops = append([]p4ir.Op{{Kind: p4ir.OpRegisterRMW, Dst: "inflight", Src: "1", Bits: 32}}, ops...)
+			ops = append([]p4ir.Op{{Kind: p4ir.OpRegisterRMW, Dst: "inflight", Src: rmw, Bits: 32}}, ops...)
 		}
 		a := p.AddAction(&p4ir.ActionDef{Name: "do_recirc", Ops: ops})
 		tbl := p.AddTable(&p4ir.TableDef{
@@ -194,41 +197,70 @@ func TestVerifyRejectsUnboundedRecirculation(t *testing.T) {
 		return p
 	}
 
-	err := VerifyPlan(mk("", true), TofinoStageModel)
+	err := VerifyPlan(mk("", "+1"), TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "recirculates unconditionally") {
 		t.Fatalf("want unguarded recirculation rejection, got %v", err)
 	}
 
 	// A tautological guard is no guard.
-	err = VerifyPlan(mk("true", true), TofinoStageModel)
+	err = VerifyPlan(mk("true", "+1"), TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "recirculates unconditionally") {
 		t.Fatalf("want true-guard recirculation rejection, got %v", err)
 	}
 
-	err = VerifyPlan(mk("meta.loop == 1", false), TofinoStageModel)
+	err = VerifyPlan(mk("meta.loop == 1", ""), TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "loop state") {
 		t.Fatalf("want stateless recirculation rejection, got %v", err)
 	}
 
 	// Guarded and stateful: the shape the generator emits for loop
 	// templates.
-	if err := VerifyPlan(mk("meta.template_id != 0", true), TofinoStageModel); err != nil {
+	if err := VerifyPlan(mk("meta.template_id != 0", "+1"), TofinoStageModel, nil); err != nil {
 		t.Fatalf("bounded recirculation must verify: %v", err)
+	}
+
+	// Guarded, but the loop state is overwritten rather than increased:
+	// nothing proves the loop ends.
+	err = VerifyPlan(mk("meta.template_id != 0", "1"), TofinoStageModel, nil)
+	if err == nil || !strings.Contains(err.Error(), "no termination proof") {
+		t.Fatalf("want missing termination proof, got %v", err)
 	}
 }
 
-// TestVerifyAcceptsIntervalExclusiveGuards is the regression for the
-// heuristic's known blind spot: two interval guards over one field can be
-// mutually exclusive without sharing the `field == const` shape the
-// syntactic pre-pass recognizes. The path-sensitive consult must accept the
-// disjoint pair and still reject an overlapping one.
+// TestVerifyRejectsTruncatedWalk: a plan with more feasible paths than the
+// verifier enumerates is not proved safe, so it does not compile.
+func TestVerifyRejectsTruncatedWalk(t *testing.T) {
+	p := &p4ir.Program{Name: "boom", Headers: []string{"ethernet"}}
+	noop := p.AddAction(&p4ir.ActionDef{Name: "nop", Ops: []p4ir.Op{{Kind: p4ir.OpNoOp}}})
+	tbl := p.AddTable(&p4ir.TableDef{
+		Name: "t", Pipeline: p4ir.PipeIngress, Match: p4ir.MatchExact,
+		Keys:    []p4ir.KeyDef{{Field: "meta.one", Bits: 1}},
+		Actions: []string{noop.Name}, Size: 1,
+		Entries: []p4ir.Entry{{Values: []uint64{1}}},
+	})
+	// 16 stacked two-way gateways: 2^16 paths, past the walk's cap.
+	stmts := []p4ir.ControlStmt{{Apply: tbl.Name}}
+	for i := 0; i < 16; i++ {
+		stmts = []p4ir.ControlStmt{{If: fmt.Sprintf("meta.f%d != 0", i), Then: stmts, Else: stmts}}
+	}
+	p.Ingress = stmts
+	err := VerifyPlan(p, TofinoStageModel, nil)
+	if err == nil || !strings.Contains(err.Error(), "path enumeration stopped") {
+		t.Fatalf("want truncated-walk rejection, got %v", err)
+	}
+}
+
+// TestVerifyAcceptsIntervalExclusiveGuards: two interval guards over one
+// field can be mutually exclusive without an equality on a shared field.
+// The path-sensitive verdict must accept the disjoint pair and still reject
+// an overlapping one.
 func TestVerifyAcceptsIntervalExclusiveGuards(t *testing.T) {
 	disjoint := rmwProg(2, true)
 	disjoint.Ingress = []p4ir.ControlStmt{
 		{If: "meta.x < 2", Then: []p4ir.ControlStmt{{Apply: "tbl_a"}}},
 		{If: "meta.x > 5", Then: []p4ir.ControlStmt{{Apply: "tbl_b"}}},
 	}
-	if err := VerifyPlan(disjoint, TofinoStageModel); err != nil {
+	if err := VerifyPlan(disjoint, TofinoStageModel, nil); err != nil {
 		t.Fatalf("disjoint interval guards must verify: %v", err)
 	}
 
@@ -237,7 +269,7 @@ func TestVerifyAcceptsIntervalExclusiveGuards(t *testing.T) {
 		{If: "meta.x >= 2", Then: []p4ir.ControlStmt{{Apply: "tbl_a"}}},
 		{If: "meta.x <= 5", Then: []p4ir.ControlStmt{{Apply: "tbl_b"}}},
 	}
-	err := VerifyPlan(overlap, TofinoStageModel)
+	err := VerifyPlan(overlap, TofinoStageModel, nil)
 	if err == nil || !strings.Contains(err.Error(), "at most once per packet") {
 		t.Fatalf("overlapping interval guards must be rejected, got %v", err)
 	}
@@ -286,7 +318,7 @@ Q1 = query(T1).map(p -> (pkt_len)).reduce(func=sum)
 		if prog.P4 == nil {
 			t.Fatalf("%s: no generated P4", name)
 		}
-		if err := VerifyPlan(prog.P4, TofinoStageModel); err != nil {
+		if err := VerifyPlan(prog.P4, TofinoStageModel, TemplateInvariants(prog)); err != nil {
 			t.Errorf("%s: compiled plan rejected: %v", name, err)
 		}
 	}

@@ -295,8 +295,9 @@ type walker struct {
 	tables  map[string]*p4ir.TableDef
 	actions map[string]*p4ir.ActionDef
 
-	gw  map[*p4ir.ControlStmt]*gwSite
-	tbl map[string]*tblSite
+	gw      map[*p4ir.ControlStmt]*gwSite
+	gwOrder []*p4ir.ControlStmt // gw keys in first-visit order
+	tbl     map[string]*tblSite
 
 	diags       []Diagnostic
 	diagSeen    map[string]bool
@@ -336,9 +337,10 @@ func Analyze(p *p4ir.Program, opts Options) *Report {
 		w.actions[a.Name] = a
 	}
 
+	w.staticSALU()
 	if cyc := parserCycle(p); cyc != "" {
 		w.diag(CheckParser, SevError, "parser",
-			"parse graph has a cycle through %s; a TCAM parser never terminates on it", cyc)
+			"parse graph has a cycle: %s; a TCAM parser never terminates on it", cyc)
 	} else {
 		w.enumParsePaths()
 	}
@@ -377,10 +379,13 @@ func (w *walker) diag(check string, sev Severity, site, format string, args ...i
 	w.diags = append(w.diags, d)
 }
 
-// parserCycle returns a node on a parse-graph cycle, or "".
+// parserCycle returns the depth-first path that closes a parse-graph cycle
+// ("ethernet -> ipv4 -> vlan -> ipv4"), or "". Roots and successors are
+// taken in ParserGraph order, so the reported cycle is deterministic.
 func parserCycle(p *p4ir.Program) string {
+	edges := p.ParserGraph()
 	adj := map[string][]string{}
-	for _, e := range p.ParserGraph() {
+	for _, e := range edges {
 		adj[e.From] = append(adj[e.From], e.To)
 	}
 	const (
@@ -389,25 +394,28 @@ func parserCycle(p *p4ir.Program) string {
 		black = 2
 	)
 	color := map[string]int{}
+	var path []string
 	var visit func(n string) string
 	visit = func(n string) string {
 		color[n] = grey
+		path = append(path, n)
 		for _, m := range adj[n] {
 			switch color[m] {
 			case grey:
-				return m
+				return strings.Join(append(path, m), " -> ")
 			case white:
 				if c := visit(m); c != "" {
 					return c
 				}
 			}
 		}
+		path = path[:len(path)-1]
 		color[n] = black
 		return ""
 	}
-	for n := range adj {
-		if color[n] == white {
-			if c := visit(n); c != "" {
+	for _, e := range edges {
+		if color[e.From] == white {
+			if c := visit(e.From); c != "" {
 				return c
 			}
 		}
@@ -527,6 +535,7 @@ func (w *walker) gwSite(s *p4ir.ControlStmt) *gwSite {
 	if !ok {
 		g = &gwSite{pipe: w.pipe}
 		w.gw[s] = g
+		w.gwOrder = append(w.gwOrder, s)
 	}
 	return g
 }
@@ -861,12 +870,14 @@ func (w *walker) execAction(st *state, t *p4ir.TableDef, actName string) {
 	if a == nil {
 		return
 	}
-	for _, op := range a.Ops {
+	for i, op := range a.Ops {
 		switch op.Kind {
 		case p4ir.OpModifyField, p4ir.OpAddToField:
 			w.fieldWrite(st, t, a, op)
 		case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
-			w.saluTouch(st, t, op.Dst)
+			if !accessesRegister(a.Ops[:i], op.Dst) { // repeats are staticSALU's
+				w.saluTouch(st, t, op.Dst)
+			}
 			if op.Kind == p4ir.OpRegisterRMW {
 				if inc, _, ok := parseIncrement(op.Src); ok && inc >= 1 {
 					st.recOK = true
@@ -938,16 +949,14 @@ func (w *walker) fieldWrite(st *state, t *p4ir.TableDef, a *p4ir.ActionDef, op p
 }
 
 // saluTouch enforces the one-SALU-access-per-pass rule path-sensitively:
-// a second table touching the register on the same feasible pass is a
-// conflict. Re-touches from the same table (multi-op actions) are the
-// syntactic pre-pass's concern.
+// any second touch of the register on the same feasible pass is a conflict,
+// including a second application of the same table. execAction passes one
+// touch per register per action; staticSALU reports actions that touch a
+// register twice.
 func (w *walker) saluTouch(st *state, t *p4ir.TableDef, register string) {
 	owner, seen := st.salu[register]
 	if !seen {
 		st.salu[register] = t.Name
-		return
-	}
-	if owner == t.Name {
 		return
 	}
 	a, b := owner, t.Name
@@ -960,8 +969,38 @@ func (w *walker) saluTouch(st *state, t *p4ir.TableDef, register string) {
 	}
 	w.conflicts[key] = SALUConflict{Pipeline: t.Pipeline, Register: register, Tables: [2]string{a, b}}
 	w.diag(CheckSALU, SevError, t.Name,
-		"register %s is accessed by both %s and %s on one feasible %s pass (%s); an RMT SALU fires at most once per packet",
+		"register %s is accessed by both %s and %s on one feasible %s pass (%s); an RMT SALU fires at most once per packet — gate the tables with exclusive conditions or split the register",
 		register, a, b, t.Pipeline, lastSteps(st.trail, 3))
+}
+
+// staticSALU reports every action, applied or not, that touches one register
+// twice: its SALU would have to fire twice on the one packet running it.
+func (w *walker) staticSALU() {
+	for _, a := range w.p.Actions {
+		for i, op := range a.Ops {
+			switch op.Kind {
+			case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
+				if accessesRegister(a.Ops[:i], op.Dst) {
+					w.diag(CheckSALU, SevError, a.Name,
+						"action %s accesses register %s twice in one pass; an RMT stateful ALU fires at most once per packet (fold the accesses into one RMW)",
+						a.Name, op.Dst)
+				}
+			}
+		}
+	}
+}
+
+// accessesRegister reports whether any op in ops accesses the register.
+func accessesRegister(ops []p4ir.Op, register string) bool {
+	for _, op := range ops {
+		switch op.Kind {
+		case p4ir.OpRegisterRead, p4ir.OpRegisterWrite, p4ir.OpRegisterRMW:
+			if op.Dst == register {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // parseIncrement recognizes the generator's strictly-increasing SALU
@@ -1105,7 +1144,8 @@ func (w *walker) reachability() {
 	if w.truncated {
 		return
 	}
-	for s, site := range w.gw {
+	for _, s := range w.gwOrder {
+		site := w.gw[s]
 		if site.opaque || site.visited == 0 {
 			continue
 		}

@@ -171,8 +171,8 @@ func TestSALUConflictOnJointPath(t *testing.T) {
 	}
 }
 
-// Numerically disjoint guards the syntactic heuristic cannot prove apart:
-// the path walker shows no joint path exists, so no conflict.
+// Numerically disjoint guards with no equality to compare: the path walker
+// shows no joint path exists, so no conflict.
 func TestSALUDisjointGuardsClean(t *testing.T) {
 	p := salupair("meta.x < 2", "meta.x > 5")
 	r := Analyze(p, Options{})
@@ -413,5 +413,77 @@ func TestMaxPathsTruncates(t *testing.T) {
 	// Reachability must stay silent on a truncated walk.
 	if countDiag(r, CheckUnreachable)+countDiag(r, CheckGateway) != 0 {
 		t.Fatalf("truncated walk emitted reachability diagnostics: %v", r.Diagnostics)
+	}
+}
+
+// Diagnostics are part of the compiler's error text, so they must not
+// depend on map iteration order: the parser graph below has two disjoint
+// cycles (either could be reported first) and the control two dead
+// gateways (their warnings could come out in either order).
+func TestDiagnosticsDeterministic(t *testing.T) {
+	cyc := &p4ir.Program{
+		Name:    "cyc2",
+		Headers: []string{"ethernet", "ipv4", "vlan", "tcp", "udp"},
+		Parser: []p4ir.ParserEdge{
+			{From: "ethernet", To: "ipv4"},
+			{From: "ipv4", To: "vlan"},
+			{From: "vlan", To: "ipv4"},
+			{From: "tcp", To: "udp"},
+			{From: "udp", To: "tcp"},
+		},
+	}
+	dead := &p4ir.Program{
+		Name:    "dead2",
+		Headers: []string{"ethernet", "ipv4"},
+		Parser:  []p4ir.ParserEdge{{From: "ethernet", To: "ipv4"}},
+	}
+	dead.AddAction(&p4ir.ActionDef{Name: "a", Ops: []p4ir.Op{{Kind: p4ir.OpNoOp}}})
+	oneEntryTable(dead, "t1", p4ir.PipeIngress, "a")
+	oneEntryTable(dead, "t2", p4ir.PipeIngress, "a")
+	dead.Ingress = []p4ir.ControlStmt{
+		{If: "ipv4.ttl > 300", Then: []p4ir.ControlStmt{{Apply: "t1"}}},
+		{If: "ipv4.proto > 400", Then: []p4ir.ControlStmt{{Apply: "t2"}}},
+	}
+
+	for _, p := range []*p4ir.Program{cyc, dead} {
+		want := fmt.Sprint(Analyze(p, Options{}).Diagnostics)
+		for i := 0; i < 200; i++ {
+			if got := fmt.Sprint(Analyze(p, Options{}).Diagnostics); got != want {
+				t.Fatalf("%s: run %d diagnostics differ:\n got %s\nwant %s", p.Name, i, got, want)
+			}
+		}
+	}
+	r := Analyze(cyc, Options{})
+	if !hasDiag(r, CheckParser, "ethernet -> ipv4 -> vlan -> ipv4") {
+		t.Fatalf("parser cycle must be reported with its full path; got %v", r.Diagnostics)
+	}
+	if r := Analyze(dead, Options{}); countDiag(r, CheckGateway) != 2 {
+		t.Fatalf("want both dead gateways reported; got %v", r.Diagnostics)
+	}
+}
+
+// One action touching a register twice is a conflict even when no table
+// applies it; a table applied twice on one path is one too.
+func TestSALUDoubleTouch(t *testing.T) {
+	p := &p4ir.Program{Name: "dbl", Headers: []string{"ethernet"}}
+	p.AddRegister(&p4ir.RegisterDef{Name: "r", Width: 32, Size: 1})
+	p.AddAction(&p4ir.ActionDef{Name: "twice", Ops: []p4ir.Op{
+		{Kind: p4ir.OpRegisterRead, Dst: "r", Src: "meta.v", Bits: 32},
+		{Kind: p4ir.OpRegisterWrite, Dst: "r", Src: "meta.v", Bits: 32},
+	}})
+	r := Analyze(p, Options{})
+	if !hasDiag(r, CheckSALU, "twice in one pass") {
+		t.Fatalf("missing same-action double access; got %v", r.Diagnostics)
+	}
+
+	p = &p4ir.Program{Name: "reapply", Headers: []string{"ethernet"}}
+	p.AddRegister(&p4ir.RegisterDef{Name: "r", Width: 32, Size: 1})
+	p.AddAction(&p4ir.ActionDef{Name: "inc", Ops: []p4ir.Op{
+		{Kind: p4ir.OpRegisterRMW, Dst: "r", Src: "+1", Bits: 32},
+	}})
+	oneEntryTable(p, "t", p4ir.PipeIngress, "inc")
+	p.Ingress = []p4ir.ControlStmt{{Apply: "t"}, {Apply: "t"}}
+	if r := Analyze(p, Options{}); countDiag(r, CheckSALU) == 0 {
+		t.Fatalf("table applied twice on one pass must conflict; got %v", r.Diagnostics)
 	}
 }
