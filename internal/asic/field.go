@@ -62,36 +62,39 @@ const (
 var fieldInfo = [numFields]struct {
 	name  string
 	width int // bits
+	// layer is the header the field lives in; LayerNone for metadata and
+	// for the L4 union fields, which resolve to TCP or UDP per packet.
+	layer netproto.LayerType
 }{
-	FieldNone:       {"none", 0},
-	FieldEthSrc:     {"eth.src", 48},
-	FieldEthDst:     {"eth.dst", 48},
-	FieldEthType:    {"eth.type", 16},
-	FieldVlanID:     {"vlan.id", 12},
-	FieldVlanPCP:    {"vlan.pcp", 3},
-	FieldIPv4Src:    {"ipv4.sip", 32},
-	FieldIPv4Dst:    {"ipv4.dip", 32},
-	FieldIPv4TTL:    {"ipv4.ttl", 8},
-	FieldIPv4Proto:  {"ipv4.proto", 8},
-	FieldIPv4TOS:    {"ipv4.tos", 8},
-	FieldIPv4ID:     {"ipv4.id", 16},
-	FieldTCPSrcPort: {"tcp.sport", 16},
-	FieldTCPDstPort: {"tcp.dport", 16},
-	FieldTCPSeq:     {"tcp.seq_no", 32},
-	FieldTCPAck:     {"tcp.ack_no", 32},
-	FieldTCPFlags:   {"tcp.flag", 8},
-	FieldTCPWindow:  {"tcp.window", 16},
-	FieldUDPSrcPort: {"udp.sport", 16},
-	FieldUDPDstPort: {"udp.dport", 16},
-	FieldL4SrcPort:  {"l4.sport", 16},
-	FieldL4DstPort:  {"l4.dport", 16},
-	FieldICMPType:   {"icmp.type", 8},
-	FieldICMPIdent:  {"icmp.ident", 16},
-	FieldICMPSeq:    {"icmp.seq", 16},
-	FieldInPort:     {"meta.in_port", 9},
-	FieldPktLen:     {"pkt_len", 16},
-	FieldIngressTs:  {"meta.ingress_ts", 64},
-	FieldTemplateID: {"meta.template_id", 16},
+	FieldNone:       {"none", 0, netproto.LayerNone},
+	FieldEthSrc:     {"eth.src", 48, netproto.LayerEthernet},
+	FieldEthDst:     {"eth.dst", 48, netproto.LayerEthernet},
+	FieldEthType:    {"eth.type", 16, netproto.LayerEthernet},
+	FieldVlanID:     {"vlan.id", 12, netproto.LayerVLAN},
+	FieldVlanPCP:    {"vlan.pcp", 3, netproto.LayerVLAN},
+	FieldIPv4Src:    {"ipv4.sip", 32, netproto.LayerIPv4},
+	FieldIPv4Dst:    {"ipv4.dip", 32, netproto.LayerIPv4},
+	FieldIPv4TTL:    {"ipv4.ttl", 8, netproto.LayerIPv4},
+	FieldIPv4Proto:  {"ipv4.proto", 8, netproto.LayerIPv4},
+	FieldIPv4TOS:    {"ipv4.tos", 8, netproto.LayerIPv4},
+	FieldIPv4ID:     {"ipv4.id", 16, netproto.LayerIPv4},
+	FieldTCPSrcPort: {"tcp.sport", 16, netproto.LayerTCP},
+	FieldTCPDstPort: {"tcp.dport", 16, netproto.LayerTCP},
+	FieldTCPSeq:     {"tcp.seq_no", 32, netproto.LayerTCP},
+	FieldTCPAck:     {"tcp.ack_no", 32, netproto.LayerTCP},
+	FieldTCPFlags:   {"tcp.flag", 8, netproto.LayerTCP},
+	FieldTCPWindow:  {"tcp.window", 16, netproto.LayerTCP},
+	FieldUDPSrcPort: {"udp.sport", 16, netproto.LayerUDP},
+	FieldUDPDstPort: {"udp.dport", 16, netproto.LayerUDP},
+	FieldL4SrcPort:  {"l4.sport", 16, netproto.LayerNone},
+	FieldL4DstPort:  {"l4.dport", 16, netproto.LayerNone},
+	FieldICMPType:   {"icmp.type", 8, netproto.LayerICMP},
+	FieldICMPIdent:  {"icmp.ident", 16, netproto.LayerICMP},
+	FieldICMPSeq:    {"icmp.seq", 16, netproto.LayerICMP},
+	FieldInPort:     {"meta.in_port", 9, netproto.LayerNone},
+	FieldPktLen:     {"pkt_len", 16, netproto.LayerNone},
+	FieldIngressTs:  {"meta.ingress_ts", 64, netproto.LayerNone},
+	FieldTemplateID: {"meta.template_id", 16, netproto.LayerNone},
 }
 
 // Name returns the NTAPI-style dotted name of the field.
@@ -146,7 +149,26 @@ func FieldByName(name string) (Field, error) {
 // Get reads the field from a PHV. Reading a field whose layer was not parsed
 // returns zero, matching P4's invalid-header read semantics on Tofino.
 func (f Field) Get(p *PHV) uint64 {
-	s := &p.Stack
+	l := fieldInfo[f].layer
+	if l == netproto.LayerNone {
+		switch f {
+		case FieldInPort:
+			return uint64(p.Meta.InPort)
+		case FieldPktLen:
+			return uint64(p.FrameLen)
+		case FieldIngressTs:
+			return uint64(p.Meta.IngressPs)
+		case FieldTemplateID:
+			return uint64(p.Meta.TemplateID)
+		case FieldL4SrcPort, FieldL4DstPort:
+			return f.resolveL4(p.Headers()).Get(p)
+		}
+		return 0
+	}
+	s := p.Headers()
+	if !s.Has(l) {
+		return 0
+	}
 	switch f {
 	case FieldEthSrc:
 		return macToUint64(s.Eth.Src)
@@ -186,39 +208,39 @@ func (f Field) Get(p *PHV) uint64 {
 		return uint64(s.UDP.SrcPort)
 	case FieldUDPDstPort:
 		return uint64(s.UDP.DstPort)
-	case FieldL4SrcPort:
-		if s.Has(netproto.LayerTCP) {
-			return uint64(s.TCP.SrcPort)
-		}
-		return uint64(s.UDP.SrcPort)
-	case FieldL4DstPort:
-		if s.Has(netproto.LayerTCP) {
-			return uint64(s.TCP.DstPort)
-		}
-		return uint64(s.UDP.DstPort)
 	case FieldICMPType:
 		return uint64(s.ICMP.Type)
 	case FieldICMPIdent:
 		return uint64(s.ICMP.Ident)
 	case FieldICMPSeq:
 		return uint64(s.ICMP.Seq)
-	case FieldInPort:
-		return uint64(p.Meta.InPort)
-	case FieldPktLen:
-		return uint64(p.FrameLen)
-	case FieldIngressTs:
-		return uint64(p.Meta.IngressPs)
-	case FieldTemplateID:
-		return uint64(p.Meta.TemplateID)
 	}
 	return 0
+}
+
+// resolveL4 maps the L4 union fields to the TCP field when the packet has
+// a TCP header and to the UDP field otherwise; other fields map to
+// themselves.
+func (f Field) resolveL4(s *netproto.Stack) Field {
+	tcp := s.Has(netproto.LayerTCP)
+	switch {
+	case f == FieldL4SrcPort && tcp:
+		return FieldTCPSrcPort
+	case f == FieldL4SrcPort:
+		return FieldUDPSrcPort
+	case f == FieldL4DstPort && tcp:
+		return FieldTCPDstPort
+	case f == FieldL4DstPort:
+		return FieldUDPDstPort
+	}
+	return f
 }
 
 // Set writes the field into a PHV. Writes to read-only intrinsic metadata
 // and to unparsed layers are silently dropped, as on hardware.
 func (f Field) Set(p *PHV, v uint64) {
-	s := &p.Stack
-	switch f {
+	s := p.Headers()
+	switch f.resolveL4(s) {
 	case FieldEthSrc:
 		s.Eth.Src = uint64ToMAC(v)
 	case FieldEthDst:
@@ -261,18 +283,6 @@ func (f Field) Set(p *PHV, v uint64) {
 		s.UDP.SrcPort = uint16(v)
 	case FieldUDPDstPort:
 		s.UDP.DstPort = uint16(v)
-	case FieldL4SrcPort:
-		if s.Has(netproto.LayerTCP) {
-			s.TCP.SrcPort = uint16(v)
-		} else {
-			s.UDP.SrcPort = uint16(v)
-		}
-	case FieldL4DstPort:
-		if s.Has(netproto.LayerTCP) {
-			s.TCP.DstPort = uint16(v)
-		} else {
-			s.UDP.DstPort = uint16(v)
-		}
 	case FieldICMPType:
 		s.ICMP.Type = uint8(v)
 	case FieldICMPIdent:

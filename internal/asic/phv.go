@@ -15,8 +15,10 @@ type PHV struct {
 	// the deparser after the egress pipeline.
 	Pkt *netproto.Packet
 
-	// Stack holds the parsed headers.
-	Stack netproto.Stack
+	// stack holds the parsed headers once parsed is set; read them
+	// through Headers.
+	stack  netproto.Stack
+	parsed bool
 
 	// FrameLen is the frame length in bytes; the pipeline cannot change
 	// it (§5.3 motivates the trigger FIFO with exactly this restriction).
@@ -65,13 +67,16 @@ type PHV struct {
 func NewPHV(pkt *netproto.Packet) *PHV {
 	p := &PHV{}
 	p.init(pkt)
+	p.parse()
 	return p
 }
 
-// init (re)parses pkt into p, resetting every pipeline-visible field. It is
-// the reuse path behind the switch's PHV pool: Stack.Decode overwrites the
-// previous packet's layers and resets the decoded-layer list in place, so a
-// recycled PHV behaves exactly like a fresh one without reallocating.
+// init binds p to pkt, resetting every pipeline-visible field and marking
+// the headers unparsed. It is the reuse path behind the switch's PHV pool:
+// the packet is decoded on the first header access (Headers), which
+// overwrites the previous packet's layers and resets the decoded-layer set
+// in place, so a recycled PHV behaves exactly like a fresh one without
+// reallocating — and a pass that reads only metadata never decodes.
 func (p *PHV) init(pkt *netproto.Packet) {
 	p.Pkt = pkt
 	p.FrameLen = pkt.Len()
@@ -86,12 +91,27 @@ func (p *PHV) init(pkt *netproto.Packet) {
 	p.Scratch = [8]uint64{}
 	p.Trace = nil
 	p.TraceAt = 0
-	// The parser stops at unknown layers without failing the packet.
-	_ = p.Stack.Decode(pkt.Data)
+	p.parsed = false
+}
+
+// Headers returns the packet's parsed headers, parsing it on first use.
+// Only layers the parser extracted hold this packet's values (see Has).
+func (p *PHV) Headers() *netproto.Stack {
+	if !p.parsed {
+		p.parse()
+	}
+	return &p.stack
+}
+
+// parse decodes the packet into the header stack. The parser stops at
+// unknown layers without failing the packet.
+func (p *PHV) parse() {
+	p.parsed = true
+	_ = p.stack.Decode(p.Pkt.Data)
 }
 
 // Has reports whether the parser extracted the given layer.
-func (p *PHV) Has(t netproto.LayerType) bool { return p.Stack.Has(t) }
+func (p *PHV) Has(t netproto.LayerType) bool { return p.Headers().Has(t) }
 
 // Deparse re-serializes modified headers in place over the packet data and
 // recomputes checksums. Frame length never changes: the pipeline cannot add
@@ -102,25 +122,26 @@ func (p *PHV) Deparse() {
 	}
 	p.Trace.Emit(p.TraceAt, obs.KindDeparse, p.Meta.UID, "", 0, int64(p.FrameLen))
 	data := p.Pkt.Data
+	s := p.Headers()
 	off := 0
-	if p.Has(netproto.LayerEthernet) {
-		writeEthernet(data[off:], &p.Stack.Eth)
+	if s.Has(netproto.LayerEthernet) {
+		writeEthernet(data[off:], &s.Eth)
 		off += netproto.EthernetLen
 	}
-	if p.Has(netproto.LayerVLAN) {
-		writeDot1Q(data[off:], &p.Stack.VLAN)
+	if s.Has(netproto.LayerVLAN) {
+		writeDot1Q(data[off:], &s.VLAN)
 		off += netproto.Dot1QLen
 	}
-	if p.Has(netproto.LayerIPv4) {
-		writeIPv4(data[off:], &p.Stack.IP4)
+	if s.Has(netproto.LayerIPv4) {
+		writeIPv4(data[off:], &s.IP4)
 		l4off := off + netproto.IPv4MinLen
 		switch {
-		case p.Has(netproto.LayerTCP):
-			writeTCP(data[l4off:], &p.Stack.TCP, &p.Stack.IP4, int(p.Stack.IP4.TotalLen)-netproto.IPv4MinLen)
-		case p.Has(netproto.LayerUDP):
-			writeUDP(data[l4off:], &p.Stack.UDP, &p.Stack.IP4)
-		case p.Has(netproto.LayerICMP):
-			writeICMP(data[l4off:], &p.Stack.ICMP, int(p.Stack.IP4.TotalLen)-netproto.IPv4MinLen)
+		case s.Has(netproto.LayerTCP):
+			writeTCP(data[l4off:], &s.TCP, &s.IP4, int(s.IP4.TotalLen)-netproto.IPv4MinLen)
+		case s.Has(netproto.LayerUDP):
+			writeUDP(data[l4off:], &s.UDP, &s.IP4)
+		case s.Has(netproto.LayerICMP):
+			writeICMP(data[l4off:], &s.ICMP, int(s.IP4.TotalLen)-netproto.IPv4MinLen)
 		}
 	}
 	p.Dirty = false

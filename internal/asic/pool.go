@@ -20,8 +20,10 @@ import (
 //     TX tail-drop, the replaced original of a multicast replication).
 //     Delivered packets belong to the receiver and are never released here.
 
-// acquirePHV returns a parsed PHV for pkt, reusing pooled storage (including
-// the decoded-layer list capacity) when available.
+// acquirePHV returns a PHV for pkt, reusing pooled storage (including the
+// decoded-layer list capacity) when available. A pooled PHV parses pkt on
+// its first header access, so passes that read only metadata (template
+// continuation passes) skip the parser.
 func (sw *Switch) acquirePHV(pkt *netproto.Packet) *PHV {
 	if n := len(sw.phvFree); n > 0 {
 		p := sw.phvFree[n-1]

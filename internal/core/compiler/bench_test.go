@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/asic"
@@ -40,7 +41,29 @@ func reportPerTuple(b *testing.B, tuples int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tuples), "ns/tuple")
 }
 
-// BenchmarkHeaderSpace measures header-space enumeration and dedup.
+// BenchmarkExactKeySpace measures the compile pass behind a reduce query:
+// the streamed header space and its exact keys. The result must equal the
+// exact keys over the materialised, deduplicated space.
+func BenchmarkExactKeySpace(b *testing.B) {
+	plan, templates := flowcountQuery(b)
+	tuples, _ := headerSpace(plan, templates, flowcountSpace)
+	want := ComputeExactKeys(tuples, plan.ArraySize, plan.DigestBits, plan.PolyArray1, plan.PolyArray2, plan.PolyDigest)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		size, exact, truncated := exactKeySpace(plan, templates, Options{}.withDefaults().MaxHeaderSpace)
+		if size != flowcountSpace || truncated {
+			b.Fatalf("header space = %d (truncated %v), want %d", size, truncated, flowcountSpace)
+		}
+		if !slices.EqualFunc(exact, want, slices.Equal[[]uint64]) {
+			b.Fatalf("%d exact keys, want %d (or they differ)", len(exact), len(want))
+		}
+	}
+	reportPerTuple(b, flowcountSpace)
+}
+
+// BenchmarkHeaderSpace measures header-space enumeration through the dedup
+// set, the path spaces of several templates or repeating lists take.
 func BenchmarkHeaderSpace(b *testing.B) {
 	plan, templates := flowcountQuery(b)
 	b.ReportAllocs()

@@ -518,12 +518,7 @@ func compileQuery(q *ntapi.Query, id int, prog *Program, opts Options) (*QueryPl
 			plan.ValueField = vf
 		}
 		// Extract the header space and precompute false positives.
-		tuples, truncated := headerSpace(plan, prog.Templates, opts.MaxHeaderSpace)
-		plan.HeaderSpaceSize = len(tuples)
-		if !truncated {
-			plan.ExactKeys = ComputeExactKeys(tuples, plan.ArraySize, plan.DigestBits,
-				plan.PolyArray1, plan.PolyArray2, plan.PolyDigest)
-		}
+		plan.HeaderSpaceSize, plan.ExactKeys, _ = exactKeySpace(plan, prog.Templates, opts.MaxHeaderSpace)
 	}
 	return plan, nil
 }

@@ -38,15 +38,16 @@ func TemplateInvariants(prog *Program) []verify.Implication {
 	var out []verify.Implication
 	for _, tmpl := range prog.Templates {
 		phv := asic.NewPHV(tmpl.Packet.Clone())
-		then := []p4ir.Atom{{Field: "eth.type", Op: p4ir.CmpEq, Value: uint64(phv.Stack.Eth.EtherType)}}
-		if phv.Has(netproto.LayerVLAN) {
-			then = append(then, p4ir.Atom{Field: "vlan.id", Op: p4ir.CmpEq, Value: uint64(phv.Stack.VLAN.VID)})
+		hdr := phv.Headers()
+		then := []p4ir.Atom{{Field: "eth.type", Op: p4ir.CmpEq, Value: uint64(hdr.Eth.EtherType)}}
+		if hdr.Has(netproto.LayerVLAN) {
+			then = append(then, p4ir.Atom{Field: "vlan.id", Op: p4ir.CmpEq, Value: uint64(hdr.VLAN.VID)})
 		}
-		if phv.Has(netproto.LayerIPv4) {
-			then = append(then, p4ir.Atom{Field: "ipv4.proto", Op: p4ir.CmpEq, Value: uint64(phv.Stack.IP4.Protocol)})
+		if hdr.Has(netproto.LayerIPv4) {
+			then = append(then, p4ir.Atom{Field: "ipv4.proto", Op: p4ir.CmpEq, Value: uint64(hdr.IP4.Protocol)})
 		}
-		if phv.Has(netproto.LayerICMP) {
-			then = append(then, p4ir.Atom{Field: "icmp.type", Op: p4ir.CmpEq, Value: uint64(phv.Stack.ICMP.Type)})
+		if hdr.Has(netproto.LayerICMP) {
+			then = append(then, p4ir.Atom{Field: "icmp.type", Op: p4ir.CmpEq, Value: uint64(hdr.ICMP.Type)})
 		}
 		out = append(out, verify.Implication{
 			If:   p4ir.Atom{Field: "meta.template_id", Op: p4ir.CmpEq, Value: uint64(tmpl.ID)},

@@ -153,12 +153,10 @@ func Fig17ExactMatch(cfg Config) *Result {
 				go func(trial int, tuples [][]uint64) {
 					defer wg.Done()
 					defer func() { <-sem }()
-					results[trial] = trialRes{
-						e16: float64(len(compiler.ComputeExactKeys(tuples, arraySize, 16,
-							asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman))),
-						e32: float64(len(compiler.ComputeExactKeys(tuples, arraySize, 32,
-							asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman))),
-					}
+					// One pass hashes each key once for both widths.
+					exact := compiler.ComputeExactKeysWidths(tuples, arraySize, []int{16, 32},
+						asic.PolyCRC32, asic.PolyCRC32C, asic.PolyKoopman)
+					results[trial] = trialRes{e16: float64(len(exact[0])), e32: float64(len(exact[1]))}
 				}(trial, tuples)
 			}
 			wg.Wait()

@@ -61,6 +61,8 @@ type Stack struct {
 	Payload []byte // window into the decoded packet; not a copy
 
 	Decoded []LayerType
+	// layers has bit t set iff layer t is in Decoded.
+	layers uint32
 
 	// PayloadOffset is the byte offset of Payload within the frame, or -1.
 	PayloadOffset int
@@ -71,6 +73,7 @@ type Stack struct {
 // malformed inner layers are returned alongside the layers already decoded.
 func (s *Stack) Decode(data []byte) error {
 	s.Decoded = s.Decoded[:0]
+	s.layers = 0
 	s.Payload = nil
 	s.PayloadOffset = -1
 
@@ -78,7 +81,7 @@ func (s *Stack) Decode(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.Decoded = append(s.Decoded, LayerEthernet)
+	s.add(LayerEthernet)
 	rest := data[n:]
 	off := n
 
@@ -88,7 +91,7 @@ func (s *Stack) Decode(data []byte) error {
 		if err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerVLAN)
+		s.add(LayerVLAN)
 		rest = rest[vn:]
 		off += vn
 		etherType = s.VLAN.EtherType
@@ -99,14 +102,14 @@ func (s *Stack) Decode(data []byte) error {
 		if _, err := s.ARP.DecodeFrom(rest); err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerARP)
+		s.add(LayerARP)
 		return nil
 	case EtherTypeIPv4:
 		n, err := s.IP4.DecodeFrom(rest)
 		if err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerIPv4)
+		s.add(LayerIPv4)
 		// Honour TotalLen so Ethernet padding is not mistaken for payload.
 		l4len := s.IP4.PayloadLen()
 		if l4len > len(rest)-n {
@@ -120,7 +123,7 @@ func (s *Stack) Decode(data []byte) error {
 		if err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerIPv6)
+		s.add(LayerIPv6)
 		l4len := int(s.IP6.PayloadLen)
 		if l4len > len(rest)-n {
 			l4len = len(rest) - n
@@ -138,7 +141,7 @@ func (s *Stack) Decode(data []byte) error {
 			if err != nil {
 				return err
 			}
-			s.Decoded = append(s.Decoded, LayerIPv6Ext)
+			s.add(LayerIPv6Ext)
 			rest = rest[en:]
 			off += en
 			next = s.IP6Ext.Final
@@ -164,21 +167,21 @@ func (s *Stack) decodeL4(proto uint8, rest []byte, off int) error {
 		if err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerTCP)
+		s.add(LayerTCP)
 		s.setPayload(rest[n:], off+n)
 	case IPProtoUDP:
 		n, err := s.UDP.DecodeFrom(rest)
 		if err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerUDP)
+		s.add(LayerUDP)
 		s.setPayload(rest[n:], off+n)
 	case IPProtoICMP:
 		n, err := s.ICMP.DecodeFrom(rest)
 		if err != nil {
 			return err
 		}
-		s.Decoded = append(s.Decoded, LayerICMP)
+		s.add(LayerICMP)
 		s.setPayload(rest[n:], off+n)
 	default:
 		s.setPayload(rest, off)
@@ -192,15 +195,14 @@ func (s *Stack) setPayload(p []byte, off int) {
 	}
 	s.Payload = p
 	s.PayloadOffset = off
-	s.Decoded = append(s.Decoded, LayerPayload)
+	s.add(LayerPayload)
+}
+
+// add records layer t as decoded.
+func (s *Stack) add(t LayerType) {
+	s.Decoded = append(s.Decoded, t)
+	s.layers |= 1 << t
 }
 
 // Has reports whether layer t was decoded by the last Decode call.
-func (s *Stack) Has(t LayerType) bool {
-	for _, d := range s.Decoded {
-		if d == t {
-			return true
-		}
-	}
-	return false
-}
+func (s *Stack) Has(t LayerType) bool { return s.layers&(1<<t) != 0 }
