@@ -36,8 +36,10 @@ trace-oracle:
 trace:
 	$(GO) run ./cmd/htbench -quick -run "Fig. 10" -json /tmp/htbench-trace.json -trace perfetto-trace.json
 
-# Project analyzers: poolsafety, determinism, atcall, obsalloc (DESIGN.md §8).
+# gofmt (lists unformatted files and fails), then the project analyzers:
+# poolsafety, determinism, atcall, obsalloc (DESIGN.md §8).
 lint:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/htlint ./...
 

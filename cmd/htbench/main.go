@@ -68,18 +68,18 @@ type benchReport struct {
 	GitRev string `json:"git_rev"`
 	// Scheduler and TableImpl tag the core data-structure implementations
 	// active for this run; they explain step changes in the trajectory.
-	Scheduler        string      `json:"scheduler"`
-	TableImpl        string      `json:"table_impl"`
+	Scheduler string `json:"scheduler"`
+	TableImpl string `json:"table_impl"`
 	// Engine is the discrete-event engine the testbeds ran on: the
 	// sequential scheduler when SimWorkers <= 1, the parallel LP engine
 	// otherwise.
-	Engine           string      `json:"engine"`
-	Quick            bool        `json:"quick"`
-	Seed             int64       `json:"seed"`
-	Workers          int         `json:"workers"`
-	SimWorkers       int         `json:"sim_workers"`
-	GOMAXPROCS       int         `json:"gomaxprocs"`
-	TotalWallSeconds float64     `json:"total_wall_s"`
+	Engine           string  `json:"engine"`
+	Quick            bool    `json:"quick"`
+	Seed             int64   `json:"seed"`
+	Workers          int     `json:"workers"`
+	SimWorkers       int     `json:"sim_workers"`
+	GOMAXPROCS       int     `json:"gomaxprocs"`
+	TotalWallSeconds float64 `json:"total_wall_s"`
 	// TracedSuite records whether per-packet tracing was enabled during the
 	// measured suite. htbench always measures untraced — the -trace sample
 	// runs after measurement — so this is false here; the field exists so

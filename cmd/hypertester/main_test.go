@@ -177,3 +177,37 @@ func TestRunSuiteMode(t *testing.T) {
 		t.Errorf("stdout missing failing check detail: %s", stdout.String())
 	}
 }
+
+// TestRunTaskOutputIsDeterministic runs a 64-key reduce through -task twice:
+// the printed report, including the key it names first, must be
+// byte-identical.
+func TestRunTaskOutputIsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	path := filepath.Join(t.TempDir(), "keys.nt")
+	task := `T1 = trigger()
+    .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
+    .set(dip, range(167772160, 167772223, 1))
+    .set(loop, 2)
+    .set(port, 0)
+Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
+`
+	if err := os.WriteFile(path, []byte(task), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]string
+	for i := range outs {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-task", path, "-duration", "100us"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("run %d: exit %d\nstderr: %s", i, code, stderr.String())
+		}
+		outs[i] = stdout.String()
+	}
+	if !strings.Contains(outs[0], "(64 keys; first:") {
+		t.Fatalf("report does not list 64 keys:\n%s", outs[0])
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs printed different reports:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}

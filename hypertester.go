@@ -149,14 +149,9 @@ func (t *Tester) LoadTaskSource(name, src string) error {
 func (t *Tester) deploy(prog *compiler.Program) error {
 	recv := htpr.NewReceiver(prog)
 	// Evictions from counter tables travel to the switch CPU as digest
-	// messages over the rate-limited PCIe channel (§5.2 push mode).
-	recv.EnableDigestEvictions()
+	// messages over the rate-limited PCIe channel (§5.2).
 	recv.DigestRoom = func() bool { return t.Switch.DigestQueueLen() < 4096 }
-	t.CPU.OnDigest = func(msg []byte, at netsim.Time) {
-		if qid, key, v, err := htpr.DecodeEviction(msg); err == nil {
-			recv.MergeEviction(qid, key, v)
-		}
-	}
+	t.CPU.OnDigest = func(msg []byte, at netsim.Time) { recv.MergeDigest(msg) }
 
 	fifos := map[int]*stateless.FIFO{}
 	for _, q := range prog.Queries {

@@ -3,9 +3,11 @@ package hypertester
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/hypertester/hypertester/internal/core/compiler"
+	"github.com/hypertester/hypertester/internal/core/htpr"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/netproto"
 	"github.com/hypertester/hypertester/internal/netsim"
@@ -809,5 +811,40 @@ Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
 	}
 	if ht.Switch.DigestDrops != 0 {
 		t.Fatalf("digest drops %d despite backpressure", ht.Switch.DigestDrops)
+	}
+}
+
+// TestReportsDeterministic runs the same overflowing task on two fresh
+// testers: far more keys than the counter arrays hold, so most aggregates
+// reach the switch CPU as eviction digests. The reports must be identical,
+// result order included.
+func TestReportsDeterministic(t *testing.T) {
+	run := func() (*Tester, []htpr.Report) {
+		ht := New(Config{Ports: []float64{100}, Seed: 22,
+			Compiler: compiler.Options{ArraySize: 64}})
+		err := ht.LoadTaskSource("pressure", `
+T1 = trigger()
+    .set([sip, proto, dport, sport], [1.1.0.1, udp, 7, 7])
+    .set(dip, range(167772160, 167774207, 1))
+    .set(loop, 3)
+    .set(port, 0)
+Q1 = query(T1).reduce(func=count, keys={ipv4.dip})
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := testbed.NewSink(ht.Sim, "sink", 100)
+		testbed.Connect(ht.Sim, ht.Port(0), sink.Iface, 0)
+		ht.Start()
+		ht.RunFor(2 * netsim.Millisecond)
+		return ht, ht.Reports()
+	}
+	ht, a := run()
+	_, b := run()
+	if onChip := 2*64 + len(ht.Program.Queries[0].ExactKeys); len(a[0].Results) <= onChip || ht.Switch.DigestsSent == 0 {
+		t.Fatalf("%d keys, %d digests: the task must leave keys held only by the CPU", len(a[0].Results), ht.Switch.DigestsSent)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two identical runs returned different reports")
 	}
 }

@@ -7,6 +7,8 @@
 package htpr
 
 import (
+	"slices"
+
 	"github.com/hypertester/hypertester/internal/asic"
 	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
@@ -19,49 +21,64 @@ import (
 // query. The arrays store (digest, counter) in registers; full keys are
 // never stored on the data plane. KV-FIFO records carry (primary slot,
 // digest, count) — under partial-key cuckoo hashing that is sufficient to
-// place and relocate entries without knowing the key. The shadowKeys map is
+// place and relocate entries without knowing the key. Key labels are
 // control-plane bookkeeping only: the switch CPU can reconstruct key↔cell
-// mappings because the header space is known (§5.2); it labels results and
-// never influences data-plane behaviour.
+// mappings because the header space is known (§5.2); they label results and
+// never influence data-plane behaviour.
+//
+// Evicted entries take one route to the switch CPU: they are queued on the
+// table, the receiver attaches the oldest to each passing packet as an
+// encoded generate_digest message, and the CPU folds the messages into the
+// table's one CPU-side aggregate (MergeEviction); Collect folds whatever is
+// still queued into the same aggregate.
 type CounterTable struct {
 	plan *compiler.QueryPlan
 
 	h1, hd, halt *asic.HashUnit
 
-	digest1, count1 *asic.RegisterArray
-	digest2, count2 *asic.RegisterArray
-	// touch1/touch2 record the Updates clock of each cell's last hit, so
-	// the CPU can sweep out idle entries ("evict the old analysis states
-	// and upload them to the switch CPU", §3.1).
-	touch1, touch2 *asic.RegisterArray
+	// arr[0] is array 1 (indexed by primary slot), arr[1] array 2.
+	arr [2]cuckooArray
 
 	// kvFIFO buffers entries awaiting cuckoo insertion by a recirculated
 	// template packet (Figure 5). Record layout: slot1, digest, count.
 	kvFIFO *stateless.FIFO
+	kvRec  []uint64 // DrainOne's pop buffer
 
-	// keyDir labels cells for the CPU: (primary slot, digest) -> key.
-	// Among non-exact keys the pair is unique by construction (colliding
-	// keys were moved to the exact table), and the CPU can always rebuild
-	// it because the header space is known (§5.2). Entries persist for
-	// the task's lifetime.
-	keyDir map[uint64][]uint64
+	// keyDir labels cells for the CPU: (primary slot, digest) -> key (a
+	// keys reference) of the first KV-FIFO push of that pair. Among
+	// non-exact keys the pair is unique by construction (colliding keys
+	// were moved to the exact table), and the CPU can always rebuild it
+	// because the header space is known (§5.2). Entries persist for the
+	// task's lifetime.
+	keyDir map[uint64]int32
 
-	// exact maps precomputed colliding keys to dedicated counters.
-	exact map[string]*exactEntry
+	// exact holds the precomputed colliding keys' dedicated counters in
+	// plan order; exactIdx maps an encoded key to its position.
+	exact    []exactEntry
+	exactIdx map[string]int
 
-	// shadowKeys labels occupied cells for result collection:
-	// array<<40 | slot -> key tuple.
-	shadowKeys map[uint64][]uint64
+	// evictions queues evicted entries until a packet carries one to the
+	// switch CPU as a digest message (nextDigest) or Collect drains them.
+	// digestFree recycles consumed message buffers; recycle returns one
+	// and is bound once, so installing it as a PHV's DigestFree does not
+	// allocate.
+	evictions  entryFIFO
+	digestFree [][]byte
+	recycle    func([]byte)
 
-	// evicted accumulates entries reported to the switch CPU (FIFO
-	// overflow or relocation-budget eviction), keyed by encoded tuple.
-	// When OnEvict is set, reports go through it instead (the push-mode
-	// digest path the receiver wires up).
-	evicted map[string]uint64
+	// cpu is the switch-CPU aggregate of evicted entries, one per key in
+	// first-merge order.
+	cpu []entry
 
-	// OnEvict, when non-nil, receives each evicted (key, partial
-	// aggregate) instead of the internal CPU-side map.
-	OnEvict func(key []uint64, value uint64)
+	// keys stores each key the labels, keyDir and the CPU aggregate name,
+	// once, as [width, cpu, key words...], where cpu is 1 + the key's
+	// position in the CPU aggregate (0: the CPU holds none of it). A key
+	// is referenced by the offset of its width word; offset 0 is a
+	// placeholder, so reference 0 means "no key". refs maps an encoded key
+	// to its reference. The store holds no pointers, so the garbage
+	// collector never scans it.
+	keys []uint64
+	refs map[string]int32
 
 	// Statistics.
 	// Unattributed counts aggregate value the CPU could not map back to
@@ -76,26 +93,74 @@ type CounterTable struct {
 
 	maxRelocate int
 
-	// kbuf holds the encoded key of the packet being counted, reused
-	// across Updates; nothing retains it past one call.
+	// kbuf holds an encoded key for one map lookup, reused across calls.
 	kbuf []byte
+}
+
+// cuckooArray is one of the table's two cuckoo arrays: its digest, count
+// and touch registers plus the key labels that shadow them.
+type cuckooArray struct {
+	digest, count *asic.RegisterArray
+	// touch records the Updates clock of each cell's last hit, so the CPU
+	// can sweep out idle entries ("evict the old analysis states and upload
+	// them to the switch CPU", §3.1).
+	touch *asic.RegisterArray
+	// labels shadows the registers slot for slot with the key (a keys
+	// reference) of the entry held there; 0 marks a cell without a label.
+	labels []int32
+}
+
+func newCuckooArray(n string, size int) cuckooArray {
+	return cuckooArray{
+		digest: asic.NewRegisterArray("ct-digest"+n, size),
+		count:  asic.NewRegisterArray("ct-count"+n, size),
+		touch:  asic.NewRegisterArray("ct-touch"+n, size),
+		labels: make([]int32, size),
+	}
 }
 
 // Observe binds the table's six register arrays to a trace stream so every
 // SALU access during query processing emits a salu record.
 func (ct *CounterTable) Observe(clock *netsim.Sim, tr *obs.Trace) {
-	ct.digest1.Observe(clock, tr)
-	ct.count1.Observe(clock, tr)
-	ct.digest2.Observe(clock, tr)
-	ct.count2.Observe(clock, tr)
-	ct.touch1.Observe(clock, tr)
-	ct.touch2.Observe(clock, tr)
+	for i := range ct.arr {
+		a := &ct.arr[i]
+		a.digest.Observe(clock, tr)
+		a.count.Observe(clock, tr)
+		a.touch.Observe(clock, tr)
+	}
 }
 
 type exactEntry struct {
 	key   []uint64
 	count uint64
 	seen  bool
+}
+
+// entry is a key (a keys reference) with an aggregate.
+type entry struct {
+	key   int32
+	value uint64
+}
+
+// entryFIFO queues entries with slot reuse: popping advances a head index
+// instead of reslicing, so the backing array is reused once drained rather
+// than pinned by a [1:] chain.
+type entryFIFO struct {
+	q    []entry
+	head int
+}
+
+func (f *entryFIFO) len() int { return len(f.q) - f.head }
+
+func (f *entryFIFO) push(e entry) { f.q = append(f.q, e) }
+
+func (f *entryFIFO) pop() entry {
+	e := f.q[f.head]
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return e
 }
 
 // kvLayout: slot1, digest, count (register-file FIFO reuse).
@@ -108,22 +173,21 @@ func NewCounterTable(plan *compiler.QueryPlan) *CounterTable {
 		h1:          asic.NewHashUnit("ct-a1", plan.PolyArray1),
 		halt:        asic.NewHashUnit("ct-alt", plan.PolyArray2),
 		hd:          asic.NewHashUnit("ct-digest", plan.PolyDigest),
-		digest1:     asic.NewRegisterArray("ct-digest1", plan.ArraySize),
-		count1:      asic.NewRegisterArray("ct-count1", plan.ArraySize),
-		digest2:     asic.NewRegisterArray("ct-digest2", plan.ArraySize),
-		count2:      asic.NewRegisterArray("ct-count2", plan.ArraySize),
-		touch1:      asic.NewRegisterArray("ct-touch1", plan.ArraySize),
-		touch2:      asic.NewRegisterArray("ct-touch2", plan.ArraySize),
+		arr:         [2]cuckooArray{newCuckooArray("1", plan.ArraySize), newCuckooArray("2", plan.ArraySize)},
 		kvFIFO:      stateless.New("kv-fifo", kvLayout, 1024),
-		keyDir:      make(map[uint64][]uint64),
-		exact:       make(map[string]*exactEntry),
-		shadowKeys:  make(map[uint64][]uint64),
-		evicted:     make(map[string]uint64),
+		keyDir:      make(map[uint64]int32),
+		exactIdx:    make(map[string]int, len(plan.ExactKeys)),
+		keys:        []uint64{0},
+		refs:        make(map[string]int32),
 		maxRelocate: 8,
 	}
+	ct.recycle = ct.recycleDigest
 	for _, k := range plan.ExactKeys {
-		key := append([]uint64(nil), k...)
-		ct.exact[string(compiler.EncodeKey(key))] = &exactEntry{key: key}
+		kb := string(compiler.EncodeKey(k))
+		if _, dup := ct.exactIdx[kb]; !dup {
+			ct.exactIdx[kb] = len(ct.exact)
+			ct.exact = append(ct.exact, exactEntry{key: append([]uint64(nil), k...)})
+		}
 	}
 	return ct
 }
@@ -132,11 +196,34 @@ func pendingID(slot1 int, digest uint32) uint64 {
 	return uint64(slot1)<<32 | uint64(digest)
 }
 
-func cellID(array, slot int) uint64 { return uint64(array)<<40 | uint64(slot) }
+// ref returns the reference of key, whose encoding is kb, storing the key
+// on first use. It is never 0, not even for the empty key of a keyless
+// query.
+func (ct *CounterTable) ref(key []uint64, kb []byte) int32 {
+	if ref, ok := ct.refs[string(kb)]; ok {
+		return ref
+	}
+	ref := int32(len(ct.keys))
+	if need := 2 + len(key); cap(ct.keys)-len(ct.keys) < need {
+		// Double the store: append alone grows a large slice by 1.25×,
+		// which would copy it about five times over.
+		ct.keys = slices.Grow(ct.keys, len(ct.keys)+need)
+	}
+	ct.keys = append(append(ct.keys, uint64(len(key)), 0), key...)
+	ct.refs[string(kb)] = ref
+	return ref
+}
+
+// key returns the stored key ref references. The slice aliases the store.
+func (ct *CounterTable) key(ref int32) []uint64 {
+	end := int(ref) + 2 + int(ct.keys[ref])
+	return ct.keys[ref+2 : end : end]
+}
 
 // Update processes one packet's key with a value delta. For distinct
 // queries the aggregate saturates at 1 (insert-if-new). It returns the
 // post-update aggregate for the key, which post-reduce filters evaluate.
+// The table keeps no reference to key.
 func (ct *CounterTable) Update(key []uint64, delta uint64) uint64 {
 	ct.Updates++
 	ct.kbuf = compiler.AppendKey(ct.kbuf[:0], key)
@@ -144,55 +231,50 @@ func (ct *CounterTable) Update(key []uint64, delta uint64) uint64 {
 
 	// Exact key matching first: precomputed collisions resolve here and
 	// never touch the hashed arrays (Figure 4).
-	if e, ok := ct.exact[string(kb)]; ok {
+	if i, ok := ct.exactIdx[string(kb)]; ok {
 		ct.ExactHits++
+		e := &ct.exact[i]
 		e.count = ct.agg(e.count, delta, !e.seen)
 		e.seen = true
 		return e.count
 	}
 
 	idx1, idx2, d := compiler.CuckooSlots(kb, ct.plan.ArraySize, ct.plan.DigestBits, ct.h1, ct.hd, ct.halt)
+	slots := [2]int{idx1, idx2}
 
 	// Hit in either array?
-	if ct.digest1.Read(idx1) == uint64(d) {
-		nv := ct.agg(ct.count1.Read(idx1), delta, false)
-		ct.count1.Write(idx1, nv)
-		ct.touch1.Write(idx1, ct.Updates)
-		return nv
-	}
-	if ct.digest2.Read(idx2) == uint64(d) {
-		nv := ct.agg(ct.count2.Read(idx2), delta, false)
-		ct.count2.Write(idx2, nv)
-		ct.touch2.Write(idx2, ct.Updates)
-		return nv
+	for i := range ct.arr {
+		a, s := &ct.arr[i], slots[i]
+		if a.digest.Read(s) == uint64(d) {
+			nv := ct.agg(a.count.Read(s), delta, false)
+			a.count.Write(s, nv)
+			a.touch.Write(s, ct.Updates)
+			return nv
+		}
 	}
 	// Miss: new key. Insert into an empty candidate slot if available.
 	first := ct.agg(0, delta, true)
-	if ct.digest1.Read(idx1) == 0 {
-		ct.digest1.Write(idx1, uint64(d))
-		ct.count1.Write(idx1, first)
-		ct.touch1.Write(idx1, ct.Updates)
-		ct.shadowKeys[cellID(1, idx1)] = append([]uint64(nil), key...)
-		return first
-	}
-	if ct.digest2.Read(idx2) == 0 {
-		ct.digest2.Write(idx2, uint64(d))
-		ct.count2.Write(idx2, first)
-		ct.touch2.Write(idx2, ct.Updates)
-		ct.shadowKeys[cellID(2, idx2)] = append([]uint64(nil), key...)
-		return first
+	for i := range ct.arr {
+		a, s := &ct.arr[i], slots[i]
+		if a.digest.Read(s) == 0 {
+			a.digest.Write(s, uint64(d))
+			a.count.Write(s, first)
+			a.touch.Write(s, ct.Updates)
+			a.labels[s] = ct.ref(key, kb)
+			return first
+		}
 	}
 	// Both candidate slots occupied: queue the KV pair for a recirculated
 	// template packet to place (Figure 5b).
 	if ct.kvFIFO.Push([]uint64{uint64(idx1), uint64(d), first}) {
 		ct.FIFOPushes++
 		if _, dup := ct.keyDir[pendingID(idx1, d)]; !dup {
-			ct.keyDir[pendingID(idx1, d)] = append([]uint64(nil), key...)
+			ct.keyDir[pendingID(idx1, d)] = ct.ref(key, kb)
 		}
 	} else {
 		// FIFO overflow: report straight to the switch CPU (§6.1).
 		ct.FIFODrops++
-		ct.evict(key, first)
+		ct.evict(ct.ref(key, kb), first)
 	}
 	return first
 }
@@ -242,58 +324,59 @@ func (ct *CounterTable) merge(a, b uint64) uint64 {
 	}
 }
 
+// label returns the key reference of the entry with digest d at slot of
+// array i: the slot's label or, for a cell placed without one, the key
+// directory's entry for its (primary slot, digest) — partial-key cuckoo
+// makes the primary slot computable from the cell alone. 0 means unknown.
+func (ct *CounterTable) label(i, slot int, d uint64) int32 {
+	if ref := ct.arr[i].labels[slot]; ref != 0 {
+		return ref
+	}
+	if i == 1 {
+		slot = compiler.AltSlot(slot, uint32(d), ct.plan.ArraySize, ct.halt)
+	}
+	return ct.keyDir[pendingID(slot, uint32(d))]
+}
+
 // DrainOne performs one FIFO pop and cuckoo insertion — the work a
 // recirculated template packet does per pass (Figure 5). It reports whether
 // anything was drained.
 func (ct *CounterTable) DrainOne() bool {
-	rec, ok := ct.kvFIFO.Pop()
+	rec, ok := ct.kvFIFO.Pop(ct.kvRec[:0])
 	if !ok {
 		return false
 	}
+	ct.kvRec = rec
 	ct.FIFODrains++
 	slot1, d, cnt := int(rec[0]), uint32(rec[1]), rec[2]
-	idx2 := compiler.AltSlot(slot1, d, ct.plan.ArraySize, ct.halt)
+	slots := [2]int{slot1, compiler.AltSlot(slot1, d, ct.plan.ArraySize, ct.halt)}
 
 	// If the key is already placed (by Update or an earlier drain), merge.
-	if ct.digest1.Read(slot1) == uint64(d) {
-		ct.count1.Write(slot1, ct.merge(ct.count1.Read(slot1), cnt))
-		return true
+	for i := range ct.arr {
+		a, s := &ct.arr[i], slots[i]
+		if a.digest.Read(s) == uint64(d) {
+			a.count.Write(s, ct.merge(a.count.Read(s), cnt))
+			return true
+		}
 	}
-	if ct.digest2.Read(idx2) == uint64(d) {
-		ct.count2.Write(idx2, ct.merge(ct.count2.Read(idx2), cnt))
-		return true
-	}
-
-	shadow := ct.keyDir[pendingID(slot1, d)]
 
 	// Insert at the primary slot, relocating occupants along their
-	// alternate-slot chains (bounded, like a pipeline pass).
+	// alternate-slot chains (bounded, like a pipeline pass). A label moves
+	// exactly as its digest and count do.
+	shadow := ct.keyDir[pendingID(slot1, d)]
 	slot, digest, count := slot1, d, cnt
-	array := 1
+	i := 0
 	for hop := 0; hop < ct.maxRelocate; hop++ {
-		dArr, cArr := ct.digest1, ct.count1
-		if array == 2 {
-			dArr, cArr = ct.digest2, ct.count2
+		a := &ct.arr[i]
+		oldD := a.digest.Read(slot)
+		oldC := a.count.Read(slot)
+		var oldShadow int32
+		if oldD != 0 {
+			oldShadow = ct.label(i, slot, oldD)
 		}
-		oldD := dArr.Read(slot)
-		oldC := cArr.Read(slot)
-		oldShadow := ct.shadowKeys[cellID(array, slot)]
-		if oldShadow == nil && oldD != 0 {
-			// Recover the occupant's label from the key directory via
-			// its primary slot (partial-key cuckoo makes it computable).
-			occIdx1 := slot
-			if array == 2 {
-				occIdx1 = compiler.AltSlot(slot, uint32(oldD), ct.plan.ArraySize, ct.halt)
-			}
-			oldShadow = ct.keyDir[pendingID(occIdx1, uint32(oldD))]
-		}
-		dArr.Write(slot, uint64(digest))
-		cArr.Write(slot, count)
-		if shadow != nil {
-			ct.shadowKeys[cellID(array, slot)] = shadow
-		} else {
-			delete(ct.shadowKeys, cellID(array, slot))
-		}
+		a.digest.Write(slot, uint64(digest))
+		a.count.Write(slot, count)
+		a.labels[slot] = shadow
 		if oldD == 0 {
 			return true // placed in an empty slot
 		}
@@ -301,34 +384,65 @@ func (ct *CounterTable) DrainOne() bool {
 		// from slot + digest alone).
 		digest, count, shadow = uint32(oldD), oldC, oldShadow
 		slot = compiler.AltSlot(slot, digest, ct.plan.ArraySize, ct.halt)
-		array = 3 - array
+		i = 1 - i
 	}
 	// Relocation budget exhausted: report the carried entry to the CPU
 	// (the "old KV pair evicted" path of Figure 5d).
-	if shadow != nil {
-		ct.evict(shadow, count)
-	} else {
-		ct.Unattributed += count
-		ct.Evictions++
-	}
+	ct.evict(shadow, count)
 	return true
 }
 
-// evict reports one entry to the switch CPU, through the OnEvict hook
-// (push-mode digests) when installed, or the internal CPU map otherwise.
-func (ct *CounterTable) evict(key []uint64, value uint64) {
+// evict queues the entry with key reference ref for the switch CPU. An
+// entry whose key is unknown (ref 0) only adds its value to Unattributed.
+func (ct *CounterTable) evict(ref int32, value uint64) {
 	ct.Evictions++
-	if ct.OnEvict != nil {
-		ct.OnEvict(append([]uint64(nil), key...), value)
+	if ref == 0 {
+		ct.Unattributed += value
 		return
 	}
-	kb := string(compiler.EncodeKey(key))
-	ct.evicted[kb] = ct.merge(ct.evicted[kb], value)
+	ct.evictions.push(entry{ref, value})
 }
 
-// Merge exposes the aggregate-combining rule so the CPU side merges partial
-// aggregates with the same semantics as the data plane.
-func (ct *CounterTable) Merge(a, b uint64) uint64 { return ct.merge(a, b) }
+// nextDigest dequeues the oldest queued eviction and encodes it as a
+// generate_digest message, in a recycled buffer when one is free. Call it
+// only while evictions are queued.
+func (ct *CounterTable) nextDigest() []byte {
+	e := ct.evictions.pop()
+	var buf []byte
+	if n := len(ct.digestFree); n > 0 {
+		buf = ct.digestFree[n-1][:0]
+		ct.digestFree[n-1] = nil
+		ct.digestFree = ct.digestFree[:n-1]
+	}
+	return AppendEviction(buf, ct.plan.ID, ct.key(e.key), e.value)
+}
+
+// recycleDigest returns a consumed message buffer to the freelist: the ASIC
+// calls it once it has copied the message onto the digest channel, or
+// dropped the PHV unconsumed.
+func (ct *CounterTable) recycleDigest(b []byte) {
+	if b != nil {
+		ct.digestFree = append(ct.digestFree, b)
+	}
+}
+
+// MergeEviction is the switch-CPU side of eviction reporting: it folds one
+// decoded eviction into the table's CPU aggregate. key is copied when the
+// table first stores it.
+func (ct *CounterTable) MergeEviction(key []uint64, value uint64) {
+	ct.kbuf = compiler.AppendKey(ct.kbuf[:0], key)
+	ct.mergeCPU(entry{ct.ref(key, ct.kbuf), value})
+}
+
+// mergeCPU folds an evicted entry into the CPU aggregate.
+func (ct *CounterTable) mergeCPU(e entry) {
+	if pos := ct.keys[e.key+1]; pos != 0 {
+		ct.cpu[pos-1].value = ct.merge(ct.cpu[pos-1].value, e.value)
+		return
+	}
+	ct.cpu = append(ct.cpu, entry{e.key, ct.merge(0, e.value)})
+	ct.keys[e.key+1] = uint64(len(ct.cpu))
+}
 
 // SweepIdle is the control-plane aging pass: every occupied cell whose last
 // touch is older than maxAge updates is uploaded to the CPU and freed,
@@ -336,47 +450,21 @@ func (ct *CounterTable) Merge(a, b uint64) uint64 { return ct.merge(a, b) }
 // old analysis states"). It returns the number of evicted entries.
 func (ct *CounterTable) SweepIdle(maxAge uint64) int {
 	evicted := 0
-	sweep := func(array int, dArr, cArr, tArr *asic.RegisterArray) {
-		for slot := 0; slot < ct.plan.ArraySize; slot++ {
-			if dArr.Read(slot) == 0 {
+	for i := range ct.arr {
+		a := &ct.arr[i]
+		for slot := range a.labels {
+			d := a.digest.Read(slot)
+			if d == 0 || ct.Updates-a.touch.Read(slot) <= maxAge {
 				continue
 			}
-			if ct.Updates-tArr.Read(slot) <= maxAge {
-				continue
-			}
-			key := ct.shadowKeys[cellID(array, slot)]
-			if key == nil {
-				occIdx1 := slot
-				if array == 2 {
-					occIdx1 = compiler.AltSlot(slot, uint32(dArr.Read(slot)), ct.plan.ArraySize, ct.halt)
-				}
-				key = ct.keyDir[pendingID(occIdx1, uint32(dArr.Read(slot)))]
-			}
-			if key != nil {
-				ct.evict(key, cArr.Read(slot))
-			} else {
-				ct.Unattributed += cArr.Read(slot)
-				ct.Evictions++
-			}
-			dArr.Write(slot, 0)
-			cArr.Write(slot, 0)
-			delete(ct.shadowKeys, cellID(array, slot))
+			ct.evict(ct.label(i, slot, d), a.count.Read(slot))
+			a.digest.Write(slot, 0)
+			a.count.Write(slot, 0)
+			a.labels[slot] = 0
 			evicted++
 		}
 	}
-	sweep(1, ct.digest1, ct.count1, ct.touch1)
-	sweep(2, ct.digest2, ct.count2, ct.touch2)
 	return evicted
-}
-
-// FIFOLen reports queued KV entries.
-func (ct *CounterTable) FIFOLen() int { return ct.kvFIFO.Len() }
-
-// DrainAll drains the FIFO completely (the CPU does this at collection
-// time; during the run, template packets drain one entry per pass).
-func (ct *CounterTable) DrainAll() {
-	for ct.DrainOne() {
-	}
 }
 
 // Result is one key's aggregate in a collected report.
@@ -385,57 +473,60 @@ type Result struct {
 	Value uint64
 }
 
-// Collect merges the data-plane state (exact counters, both arrays, any
-// remaining FIFO entries) with CPU-side evictions into a per-key report —
-// what the switch CPU assembles from batched pulls plus digest messages.
+// Collect assembles the per-key report the switch CPU builds from batched
+// pulls plus eviction digests. It first lets the KV FIFO drain completely
+// and folds the evictions still queued on the data plane into the CPU
+// aggregate. The report lists exact keys in plan order, then array-1 cells
+// by slot, then array-2 cells by slot, each with the CPU's partial
+// aggregate of its key merged in, and last the keys only the CPU holds, in
+// merge order. A key has at most one home on the data plane (DESIGN.md
+// §14), so no key is listed twice. The result keys share one block of
+// their own, so a kept report does not pin the table's key store.
 func (ct *CounterTable) Collect() []Result {
-	ct.DrainAll()
-	merged := make(map[string]uint64)
-	keyOf := make(map[string][]uint64)
+	for ct.DrainOne() {
+	}
+	for ct.evictions.len() > 0 {
+		ct.mergeCPU(ct.evictions.pop())
+	}
+	// Every reported key is exact or stored, and nearly every stored key
+	// is reported.
+	out := make([]Result, 0, len(ct.exact)+len(ct.refs))
+	merged := make([]bool, len(ct.cpu))
+	words := 0
 	add := func(key []uint64, v uint64) {
-		kb := string(compiler.EncodeKey(key))
-		merged[kb] = ct.merge(merged[kb], v)
-		keyOf[kb] = key
+		out = append(out, Result{Key: key, Value: v})
+		words += len(key)
 	}
-	for _, e := range ct.exact {
-		if e.seen {
-			add(e.key, e.count)
+	// Exact keys never reach the arrays, so the CPU holds none of them.
+	for i := range ct.exact {
+		if e := &ct.exact[i]; e.seen {
+			add(e.key, ct.merge(0, e.count))
 		}
 	}
-	for cid, key := range ct.shadowKeys {
-		array, slot := int(cid>>40), int(cid&0xffffffffff)
-		if array == 1 {
-			if ct.digest1.Read(slot) != 0 {
-				add(key, ct.count1.Read(slot))
+	for i := range ct.arr {
+		a := &ct.arr[i]
+		for slot, ref := range a.labels {
+			if ref == 0 || a.digest.Read(slot) == 0 {
+				continue
 			}
-		} else if ct.digest2.Read(slot) != 0 {
-			add(key, ct.count2.Read(slot))
+			v := ct.merge(0, a.count.Read(slot))
+			if pos := ct.keys[ref+1]; pos != 0 {
+				v = ct.merge(v, ct.cpu[pos-1].value)
+				merged[pos-1] = true
+			}
+			add(ct.key(ref), v)
 		}
 	}
-	for kb, v := range ct.evicted {
-		key := keyOf[kb]
-		if key == nil {
-			key = decodeKey(kb)
+	for i, e := range ct.cpu {
+		if !merged[i] {
+			add(ct.key(e.key), e.value)
 		}
-		add(key, v)
 	}
-	out := make([]Result, 0, len(merged))
-	for kb, v := range merged {
-		out = append(out, Result{Key: keyOf[kb], Value: v})
-	}
-	return out
-}
-
-func decodeKey(kb string) []uint64 {
-	b := []byte(kb)
-	out := make([]uint64, len(b)/8)
+	block := make([]uint64, 0, words)
 	for i := range out {
-		for j := 0; j < 8; j++ {
-			out[i] = out[i]<<8 | uint64(b[i*8+j])
-		}
+		n := len(block)
+		block = append(block, out[i].Key...)
+		out[i].Key = block[n:len(block):len(block)]
 	}
 	return out
 }
-
-// DistinctCount returns the number of distinct keys observed.
-func (ct *CounterTable) DistinctCount() int { return len(ct.Collect()) }

@@ -89,7 +89,7 @@ func TestCounterTableDistinct(t *testing.T) {
 			ct.DrainOne()
 		}
 	}
-	if got := ct.DistinctCount(); got != len(seen) {
+	if got := len(ct.Collect()); got != len(seen) {
 		t.Fatalf("distinct = %d, want %d", got, len(seen))
 	}
 }

@@ -32,13 +32,9 @@ func AppendEviction(dst []byte, queryID int, key []uint64, value uint64) []byte 
 	return dst
 }
 
-// EncodeEviction serializes one evicted entry into a fresh buffer.
-func EncodeEviction(queryID int, key []uint64, value uint64) []byte {
-	return AppendEviction(make([]byte, 0, 6+8*len(key)+8), queryID, key, value)
-}
-
-// DecodeEviction parses a message produced by EncodeEviction.
-func DecodeEviction(msg []byte) (queryID int, key []uint64, value uint64, err error) {
+// DecodeEviction parses a message produced by AppendEviction, appending the
+// key tuple to dst.
+func DecodeEviction(msg []byte, dst []uint64) (queryID int, key []uint64, value uint64, err error) {
 	if len(msg) < 6 {
 		return 0, nil, 0, fmt.Errorf("htpr: digest message too short")
 	}
@@ -51,9 +47,9 @@ func DecodeEviction(msg []byte) (queryID int, key []uint64, value uint64, err er
 	if len(msg) != want {
 		return 0, nil, 0, fmt.Errorf("htpr: eviction digest length %d, want %d", len(msg), want)
 	}
-	key = make([]uint64, n)
+	key = dst
 	for i := 0; i < n; i++ {
-		key[i] = binary.BigEndian.Uint64(msg[6+8*i:])
+		key = append(key, binary.BigEndian.Uint64(msg[6+8*i:]))
 	}
 	value = binary.BigEndian.Uint64(msg[6+8*n:])
 	return queryID, key, value, nil

@@ -1,6 +1,11 @@
 package htpr
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+
+	"github.com/hypertester/hypertester/internal/core/compiler"
+)
 
 // CPU-side query post-processing. Sonata's operator set includes join on
 // top of filter/map/reduce/distinct; HyperTester partitions such operators
@@ -18,13 +23,12 @@ type JoinedResult struct {
 // Join inner-joins two result sets on their full key tuples. Keys present
 // in only one side are dropped (use LeftJoin to keep them).
 func Join(left, right []Result) []JoinedResult {
-	idx := make(map[string]uint64, len(right))
-	for _, r := range right {
-		idx[keyString(r.Key)] = r.Value
-	}
+	idx := indexValues(right)
+	var kb []byte
 	var out []JoinedResult
 	for _, l := range left {
-		if rv, ok := idx[keyString(l.Key)]; ok {
+		kb = compiler.AppendKey(kb[:0], l.Key)
+		if rv, ok := idx[string(kb)]; ok {
 			out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: rv})
 		}
 	}
@@ -33,15 +37,26 @@ func Join(left, right []Result) []JoinedResult {
 
 // LeftJoin keeps every left key; missing right values are zero.
 func LeftJoin(left, right []Result) []JoinedResult {
-	idx := make(map[string]uint64, len(right))
-	for _, r := range right {
-		idx[keyString(r.Key)] = r.Value
-	}
+	idx := indexValues(right)
+	var kb []byte
 	out := make([]JoinedResult, 0, len(left))
 	for _, l := range left {
-		out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: idx[keyString(l.Key)]})
+		kb = compiler.AppendKey(kb[:0], l.Key)
+		out = append(out, JoinedResult{Key: l.Key, Left: l.Value, Right: idx[string(kb)]})
 	}
 	return out
+}
+
+// indexValues maps each result's encoded key to its value (the last one
+// wins).
+func indexValues(results []Result) map[string]uint64 {
+	idx := make(map[string]uint64, len(results))
+	var kb []byte
+	for _, r := range results {
+		kb = compiler.AppendKey(kb[:0], r.Key)
+		idx[string(kb)] = r.Value
+	}
+	return idx
 }
 
 // TopK returns the k largest results by value (ties broken by key order for
@@ -49,11 +64,11 @@ func LeftJoin(left, right []Result) []JoinedResult {
 func TopK(results []Result, k int) []Result {
 	sorted := make([]Result, len(results))
 	copy(sorted, results)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Value != sorted[j].Value {
-			return sorted[i].Value > sorted[j].Value
+	slices.SortFunc(sorted, func(a, b Result) int {
+		if c := cmp.Compare(b.Value, a.Value); c != 0 {
+			return c
 		}
-		return keyString(sorted[i].Key) < keyString(sorted[j].Key)
+		return slices.Compare(a.Key, b.Key)
 	})
 	if k > len(sorted) {
 		k = len(sorted)
@@ -68,14 +83,4 @@ func SumValues(results []Result) uint64 {
 		total += r.Value
 	}
 	return total
-}
-
-func keyString(key []uint64) string {
-	b := make([]byte, 0, len(key)*8)
-	for _, v := range key {
-		for s := 56; s >= 0; s -= 8 {
-			b = append(b, byte(v>>uint(s)))
-		}
-	}
-	return string(b)
 }

@@ -30,13 +30,6 @@ type QueryState struct {
 	// RecordsPushed counts records handed to HTPS.
 	RecordsPushed uint64
 
-	// Push-mode eviction reporting (enabled by EnableDigestEvictions):
-	// encoded digest messages awaiting a packet to carry them, and the
-	// CPU-side merge of decoded messages.
-	pendingDigests digestFIFO
-	cpuEvicted     map[string]uint64
-	cpuKeys        map[string][]uint64
-
 	// Delay-measurement state (KindDelay): a hash-indexed timestamp
 	// register written at egress and consumed at ingress.
 	delayStore *asic.RegisterArray
@@ -46,31 +39,11 @@ type QueryState struct {
 	DelayMinNs float64
 	DelayMaxNs float64
 
-	// delayKey and delayKeyBytes are delayIndex's reused key scratch.
-	delayKey      []uint64
-	delayKeyBytes []byte
-}
-
-// digestFIFO queues encoded eviction messages with slot reuse: popping
-// advances a head index instead of reslicing, so the backing array is
-// reclaimed (and reused) once drained rather than pinned by a [1:] chain.
-type digestFIFO struct {
-	q    [][]byte
-	head int
-}
-
-func (f *digestFIFO) len() int { return len(f.q) - f.head }
-
-func (f *digestFIFO) push(m []byte) { f.q = append(f.q, m) }
-
-func (f *digestFIFO) pop() []byte {
-	m := f.q[f.head]
-	f.q[f.head] = nil
-	f.head++
-	if f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return m
+	// key and rec are the per-packet key tuple and trigger record, built
+	// in place (Update and FIFO.Push copy what they keep); keyBytes is
+	// delayIndex's encoded key.
+	key, rec []uint64
+	keyBytes []byte
 }
 
 // Receiver deploys compiled queries onto a switch's pipelines: ingress for
@@ -79,48 +52,20 @@ type Receiver struct {
 	prog   *compiler.Program
 	states []*QueryState
 
-	// DigestRoom, when set, gates push-mode digest attachment on channel
+	// DigestRoom, when set, gates digest attachment on channel
 	// backpressure (a learn filter's pipeline-visible signal): pending
 	// messages wait on the data plane until the channel has room, or the
 	// CPU drains them at collection time.
 	DigestRoom func() bool
 
-	// digestFree recycles encoded-eviction buffers: a message returns here
-	// once consumed (copied by the ASIC digest channel, or decoded at
-	// collection time) and its storage is reused by the next eviction,
-	// making sustained eviction reporting allocation-free.
-	digestFree [][]byte
-	// recycleFn is recycleDigestBuf bound once at construction, installed
-	// as PHV.DigestFree on every attachment so the ASIC hands the buffer
-	// back at the moment it is provably consumed (copied onto the digest
-	// channel, or the PHV released unconsumed) — a per-packet method-value
-	// allocation would break the zero-alloc digest path.
-	recycleFn func([]byte)
-}
-
-// newEviction encodes an eviction into a recycled buffer when one is free.
-func (r *Receiver) newEviction(queryID int, key []uint64, value uint64) []byte {
-	var buf []byte
-	if n := len(r.digestFree); n > 0 {
-		buf = r.digestFree[n-1][:0]
-		r.digestFree[n-1] = nil
-		r.digestFree = r.digestFree[:n-1]
-	}
-	return AppendEviction(buf, queryID, key, value)
-}
-
-// recycleDigestBuf returns a consumed message buffer to the freelist.
-func (r *Receiver) recycleDigestBuf(b []byte) {
-	if b != nil {
-		r.digestFree = append(r.digestFree, b)
-	}
+	// dkey is the key buffer MergeDigest decodes into.
+	dkey []uint64
 }
 
 // NewReceiver builds runtime state for every query in the program,
 // including the trigger FIFOs for stateless connections.
 func NewReceiver(prog *compiler.Program) *Receiver {
 	r := &Receiver{prog: prog}
-	r.recycleFn = r.recycleDigestBuf
 	for _, plan := range prog.Queries {
 		st := &QueryState{Plan: plan}
 		if plan.Kind == ntapi.KindReduce || plan.Kind == ntapi.KindDistinct {
@@ -166,37 +111,22 @@ func (r *Receiver) Observe(clock *netsim.Sim, tr *obs.Trace) {
 	}
 }
 
-// EnableDigestEvictions switches counter-table eviction reporting onto the
-// push-mode digest path (§5.2): evictions become generate_digest messages
-// that ride outgoing packets to the switch CPU, which decodes and merges
-// them (the facade wires the CPU side to MergeEviction).
-func (r *Receiver) EnableDigestEvictions() {
-	for _, st := range r.states {
-		if st.Table == nil {
-			continue
-		}
-		st := st
-		st.cpuEvicted = make(map[string]uint64)
-		st.cpuKeys = make(map[string][]uint64)
-		st.Table.OnEvict = func(key []uint64, value uint64) {
-			st.pendingDigests.push(r.newEviction(st.Plan.ID, key, value))
-		}
-	}
-}
-
-// MergeEviction is the switch-CPU side of push-mode reporting: it folds one
-// decoded eviction into the query's CPU aggregate.
-func (r *Receiver) MergeEviction(queryID int, key []uint64, value uint64) {
-	st := r.State(queryID)
-	if st == nil || st.cpuEvicted == nil || st.Table == nil {
+// MergeDigest is the switch-CPU side of eviction reporting (§5.2: evicted
+// KV pairs reach the CPU via generate_digest): it decodes one eviction
+// message received over the digest channel and folds it into its query's
+// CPU aggregate. Messages that do not decode are ignored.
+func (r *Receiver) MergeDigest(msg []byte) {
+	qid, key, v, err := DecodeEviction(msg, r.dkey[:0])
+	if err != nil {
 		return
 	}
-	kb := keyString(key)
-	st.cpuEvicted[kb] = st.Table.Merge(st.cpuEvicted[kb], value)
-	st.cpuKeys[kb] = key
+	r.dkey = key
+	if st := r.State(qid); st != nil && st.Table != nil {
+		st.Table.MergeEviction(key, v)
+	}
 }
 
-// attachDigest hands one pending eviction message to the current packet's
+// attachDigest hands one queued eviction message to the current packet's
 // digest slot (one generate_digest per packet traversal), honouring channel
 // backpressure.
 func (r *Receiver) attachDigest(p *asic.PHV) {
@@ -207,11 +137,11 @@ func (r *Receiver) attachDigest(p *asic.PHV) {
 		return
 	}
 	for _, st := range r.states {
-		if st.pendingDigests.len() > 0 {
+		if ct := st.Table; ct != nil && ct.evictions.len() > 0 {
 			// The buffer comes back through DigestFree when the ASIC has
 			// copied it onto the channel (or dropped the PHV unconsumed).
-			p.DigestData = st.pendingDigests.pop()
-			p.DigestFree = r.recycleFn
+			p.DigestData = ct.nextDigest()
+			p.DigestFree = ct.recycle
 			return
 		}
 	}
@@ -297,14 +227,19 @@ func filtersPass(st *QueryState, p *asic.PHV) bool {
 	return true
 }
 
+// appendFields appends the packet's values of fields to dst.
+func appendFields(dst []uint64, fields []asic.Field, p *asic.PHV) []uint64 {
+	for _, f := range fields {
+		dst = append(dst, f.Get(p))
+	}
+	return dst
+}
+
 // delayIndex hashes the query's key fields into the timestamp register.
 func (st *QueryState) delayIndex(p *asic.PHV) int {
-	st.delayKey = st.delayKey[:0]
-	for _, kf := range st.Plan.Keys {
-		st.delayKey = append(st.delayKey, kf.Get(p))
-	}
-	st.delayKeyBytes = compiler.AppendKey(st.delayKeyBytes[:0], st.delayKey)
-	return st.delayHash.Index(st.delayKeyBytes, st.Plan.ArraySize)
+	st.key = appendFields(st.key[:0], st.Plan.Keys, p)
+	st.keyBytes = compiler.AppendKey(st.keyBytes[:0], st.key)
+	return st.delayHash.Index(st.keyBytes, st.Plan.ArraySize)
 }
 
 // recordDelay consumes a stored sent-side timestamp and accumulates the
@@ -341,15 +276,12 @@ func (r *Receiver) process(st *QueryState, p *asic.PHV) {
 	st.MatchedBytes += uint64(p.FrameLen)
 
 	if st.Table != nil {
-		key := make([]uint64, len(st.Plan.Keys))
-		for i, kf := range st.Plan.Keys {
-			key[i] = kf.Get(p)
-		}
+		st.key = appendFields(st.key[:0], st.Plan.Keys, p)
 		delta := uint64(1)
 		if st.Plan.ValueField != asic.FieldNone {
 			delta = st.Plan.ValueField.Get(p)
 		}
-		agg := st.Table.Update(key, delta)
+		agg := st.Table.Update(st.key, delta)
 		for _, pred := range st.Plan.Post {
 			if !pred.Eval(agg) {
 				return
@@ -357,11 +289,8 @@ func (r *Receiver) process(st *QueryState, p *asic.PHV) {
 		}
 	}
 	if st.TriggerFIFO != nil {
-		rec := make([]uint64, len(st.Plan.RecordFields))
-		for i, f := range st.Plan.RecordFields {
-			rec[i] = f.Get(p)
-		}
-		if st.TriggerFIFO.Push(rec) {
+		st.rec = appendFields(st.rec[:0], st.Plan.RecordFields, p)
+		if st.TriggerFIFO.Push(st.rec) {
 			st.RecordsPushed++
 		}
 	}
@@ -385,23 +314,6 @@ type Report struct {
 	DelayMaxNs   float64
 }
 
-// mergeCPUResults folds the CPU-side eviction aggregates into a collected
-// result set.
-func mergeCPUResults(st *QueryState, results []Result) []Result {
-	byKey := make(map[string]int, len(results))
-	for i, r := range results {
-		byKey[keyString(r.Key)] = i
-	}
-	for kb, v := range st.cpuEvicted {
-		if i, ok := byKey[kb]; ok {
-			results[i].Value = st.Table.Merge(results[i].Value, v)
-		} else {
-			results = append(results, Result{Key: st.cpuKeys[kb], Value: v})
-		}
-	}
-	return results
-}
-
 // Collect assembles reports for every query.
 func (r *Receiver) Collect() []Report {
 	var out []Report
@@ -414,19 +326,6 @@ func (r *Receiver) Collect() []Report {
 		}
 		if st.Table != nil {
 			rep.Results = st.Table.Collect()
-			// At collection time the CPU drains any digests still
-			// queued on the data plane, then folds in everything it
-			// received over the channel.
-			for st.pendingDigests.len() > 0 {
-				msg := st.pendingDigests.pop()
-				if qid, key, v, err := DecodeEviction(msg); err == nil {
-					r.MergeEviction(qid, key, v)
-				}
-				r.recycleDigestBuf(msg)
-			}
-			if len(st.cpuEvicted) > 0 {
-				rep.Results = mergeCPUResults(st, rep.Results)
-			}
 			rep.Distinct = len(rep.Results)
 		}
 		if st.Plan.Kind == ntapi.KindDelay && st.DelayCount > 0 {

@@ -8,6 +8,7 @@ import (
 	"github.com/hypertester/hypertester/internal/core/compiler"
 	"github.com/hypertester/hypertester/internal/core/ntapi"
 	"github.com/hypertester/hypertester/internal/netproto"
+	"github.com/hypertester/hypertester/internal/raceflag"
 )
 
 func compileTask(t *testing.T, src string) *compiler.Program {
@@ -212,21 +213,23 @@ func TestSweepIdleThenContinueCounting(t *testing.T) {
 	}
 }
 
-// TestDigestBufferLifecycle pins the pooled eviction-buffer contract: a
+// TestDigestBufferLifecycle pins the pooled digest-buffer contract: a
 // buffer handed to a packet's digest slot stays live — untouched by later
-// evictions — until the ASIC's DigestFree consumption callback returns it,
-// and only then is its storage reused. (The previous scheme recycled the
-// buffer at the *next* attachment, corrupting a message whose emission had
-// not happened yet.)
+// evictions and attachments — until the ASIC's DigestFree consumption
+// callback returns it, and only then is its storage reused. (An earlier
+// scheme recycled the buffer at the *next* attachment, corrupting a message
+// whose emission had not happened yet.)
 func TestDigestBufferLifecycle(t *testing.T) {
 	prog := compileTask(t, `
 T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(sport, range(1, 1024, 1)).set(port, 0)
 Q1 = query().reduce(func=count, keys={ipv4.sip})
 `)
 	r := NewReceiver(prog)
-	r.EnableDigestEvictions()
-	st := r.State(1)
-	evict := func(k uint64) { st.Table.OnEvict([]uint64{k}, 1) }
+	ct := r.State(1).Table
+	evict := func(k uint64) {
+		key := []uint64{k}
+		ct.evict(ct.ref(key, compiler.EncodeKey(key)), 1)
+	}
 
 	evict(11)
 	evict(22)
@@ -241,7 +244,7 @@ Q1 = query().reduce(func=count, keys={ipv4.sip})
 	// recycle the first buffer.
 	p2 := tcpPHV(t, 3, 80, netproto.TCPSyn, 0)
 	r.attachDigest(p2)
-	if n := len(r.digestFree); n != 0 {
+	if n := len(ct.digestFree); n != 0 {
 		t.Fatalf("free list holds %d buffers while both attachments are in flight", n)
 	}
 	// A fresh eviction must not overwrite the live attachment either.
@@ -255,13 +258,51 @@ Q1 = query().reduce(func=count, keys={ipv4.sip})
 	buf := p1.DigestData
 	p1.DigestFree(p1.DigestData)
 	p1.DigestData, p1.DigestFree = nil, nil
-	if n := len(r.digestFree); n != 1 {
+	if n := len(ct.digestFree); n != 1 {
 		t.Fatalf("free list holds %d buffers after consumption, want 1", n)
 	}
-	evict(44)
-	st.pendingDigests.pop() // 33's message
-	m44 := st.pendingDigests.pop()
-	if len(m44) == 0 || &m44[0] != &buf[0] {
-		t.Fatal("consumed buffer storage was not reused by the next eviction")
+	p3 := tcpPHV(t, 4, 80, netproto.TCPSyn, 0)
+	r.attachDigest(p3) // 33's message
+	if len(p3.DigestData) == 0 || &p3.DigestData[0] != &buf[0] {
+		t.Fatal("consumed buffer storage was not reused by the next message")
+	}
+}
+
+// TestReceiverPacketPathZeroAllocs pins the receiver's per-packet contract:
+// a matched packet whose key is already placed, with the trigger record it
+// pushes, and a template pass that drains a non-empty KV FIFO allocate
+// nothing. The key tuple and the record are built in per-query scratch.
+func TestReceiverPacketPathZeroAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; the contract holds in non-race builds")
+	}
+	prog := compileTask(t, `
+T1 = trigger().set([dip, proto], [9.9.9.9, tcp]).set(port, 0)
+Q1 = query().filter(tcp_flag == SYN).reduce(func=count, keys={ipv4.sip}).filter(count >= 1)
+T2 = trigger(Q1).set([dip, flag], [Q1.sip, FIN])
+`)
+	r := NewReceiver(prog)
+	proc := r.IngressProcessor()
+	st := r.State(1)
+	ct := st.Table
+	matched := tcpPHV(t, 2, 80, netproto.TCPSyn, 0)
+	proc.Process(matched) // places key {2} in array 1
+	// Queue the records Update leaves for a key that found both candidate
+	// cells taken and has been placed since: each drain merges one.
+	idx1, _, d := compiler.CuckooSlots(compiler.EncodeKey([]uint64{2}), ct.plan.ArraySize, ct.plan.DigestBits, ct.h1, ct.hd, ct.halt)
+	for ct.kvFIFO.Push([]uint64{uint64(idx1), uint64(d), 1}) {
+	}
+	template := tcpPHV(t, 2, 80, netproto.TCPSyn, 0)
+	template.Meta.TemplateID = 1
+	const runs = 1000
+	if avg := testing.AllocsPerRun(runs, func() {
+		proc.Process(matched)
+		proc.Process(template)
+	}); avg != 0 {
+		t.Errorf("packet path allocates %v allocs/op, want 0", avg)
+	}
+	if st.RecordsPushed < runs || ct.FIFODrains < runs || ct.kvFIFO.Len() == 0 || ct.FIFOPushes != 0 {
+		t.Fatalf("records pushed %d, KV drains %d, KV FIFO left %d, KV pushes %d: the paths were not exercised",
+			st.RecordsPushed, ct.FIFODrains, ct.kvFIFO.Len(), ct.FIFOPushes)
 	}
 }

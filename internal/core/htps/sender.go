@@ -56,8 +56,12 @@ type templateState struct {
 
 	rng *netsim.RNG
 
-	// fifo is the trigger-record source for stateless templates.
+	// fifo is the trigger-record source for stateless templates; rec is
+	// the buffer records are popped into. A fire hands rec to the PHV, and
+	// multicast replication deep-copies it into every copy in the same
+	// pass, so the next pop may overwrite it.
 	fifo *stateless.FIFO
+	rec  []uint64
 	// recordIdx maps record fields to positions in the record layout.
 	recordIdx map[asic.Field]int
 	inPortIdx int
@@ -238,11 +242,12 @@ func (s *Sender) IngressProcessor() asic.Processor {
 // fireStateless pops one trigger record and fires the template with it; an
 // empty FIFO just recirculates the template.
 func (s *Sender) fireStateless(st *templateState, p *asic.PHV) {
-	rec, ok := st.fifo.Pop()
+	rec, ok := st.fifo.Pop(st.rec[:0])
 	if !ok {
 		p.Recirculate = true
 		return
 	}
+	st.rec = rec
 	p.Meta.Record = rec
 	p.Meta.SeqID = st.Fired
 	st.Fired++

@@ -92,9 +92,10 @@ func (f *FIFO) Push(values []uint64) bool {
 	return true
 }
 
-// Pop dequeues one record; ok is false when the queue is empty (the front
-// update depends on the rear value to prevent underflow).
-func (f *FIFO) Pop() (values []uint64, ok bool) {
+// Pop dequeues one record, appending its values to dst; ok is false when
+// the queue is empty (the front update depends on the rear value to prevent
+// underflow).
+func (f *FIFO) Pop(dst []uint64) (values []uint64, ok bool) {
 	rear := f.ptrs.Read(rearIdx)
 	front := f.ptrs.RMW(frontIdx, func(old uint64) (uint64, uint64) {
 		if old >= rear {
@@ -106,9 +107,9 @@ func (f *FIFO) Pop() (values []uint64, ok bool) {
 		return nil, false
 	}
 	slot := int(front % uint64(f.size))
-	values = make([]uint64, len(f.entries))
-	for i, arr := range f.entries {
-		values[i] = arr.Read(slot)
+	values = dst
+	for _, arr := range f.entries {
+		values = append(values, arr.Read(slot))
 	}
 	f.Popped++
 	return values, true

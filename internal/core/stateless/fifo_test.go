@@ -20,7 +20,7 @@ func TestPushPopOrder(t *testing.T) {
 		t.Fatalf("len = %d", f.Len())
 	}
 	for i := uint64(0); i < 5; i++ {
-		v, ok := f.Pop()
+		v, ok := f.Pop(nil)
 		if !ok {
 			t.Fatalf("pop %d failed", i)
 		}
@@ -28,7 +28,7 @@ func TestPushPopOrder(t *testing.T) {
 			t.Fatalf("pop %d = %v", i, v)
 		}
 	}
-	if _, ok := f.Pop(); ok {
+	if _, ok := f.Pop(nil); ok {
 		t.Fatal("pop from empty succeeded")
 	}
 	if f.Len() != 0 {
@@ -47,7 +47,7 @@ func TestOverflowCountedAndDropped(t *testing.T) {
 		t.Fatalf("overflows = %d", f.Overflows)
 	}
 	// The queued records are intact.
-	v, _ := f.Pop()
+	v, _ := f.Pop(nil)
 	if v[0] != 1 {
 		t.Fatalf("head = %v", v)
 	}
@@ -62,7 +62,7 @@ func TestWrapAround(t *testing.T) {
 			}
 		}
 		for i := uint64(0); i < 3; i++ {
-			v, ok := f.Pop()
+			v, ok := f.Pop(nil)
 			if !ok || v[0] != uint64(round)*10+i {
 				t.Fatalf("round %d pop %d = %v ok=%v", round, i, v, ok)
 			}
@@ -103,7 +103,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 				if f.Push([]uint64{next}) {
 					next++
 				}
-			} else if v, ok := f.Pop(); ok {
+			} else if v, ok := f.Pop(nil); ok {
 				if v[0] != expect {
 					return false
 				}
@@ -112,7 +112,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 		}
 		// Drain the remainder.
 		for {
-			v, ok := f.Pop()
+			v, ok := f.Pop(nil)
 			if !ok {
 				break
 			}

@@ -22,7 +22,7 @@ type DeterminismConfig struct {
 func DefaultDeterminismConfig() DeterminismConfig {
 	return DeterminismConfig{Packages: []string{
 		"internal/asic", "internal/netsim", "internal/experiments",
-		"internal/scenario",
+		"internal/scenario", "internal/core/htpr",
 	}}
 }
 

@@ -29,7 +29,7 @@ type RunResult struct {
 
 // dut is one device-under-test instance and its metric contribution.
 type dut struct {
-	reset   func()          // clears counters at end of warmup (nil = none)
+	reset   func()           // clears counters at end of warmup (nil = none)
 	collect func(m *Metrics) // records the DUT's metrics after the window
 	iface   *testbed.Iface
 }

@@ -10,7 +10,7 @@ import (
 // SuiteResult is the machine-readable outcome of a suite run (the -results
 // file the CLI writes).
 type SuiteResult struct {
-	Suite  string `json:"suite"`
+	Suite string `json:"suite"`
 	// SimWorkers echoes the engine the suite ran on (0 = each scenario's
 	// own topology setting).
 	SimWorkers int          `json:"sim_workers"`
